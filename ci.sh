@@ -167,4 +167,18 @@ if target/release/perf_report results/BENCH_baseline.json \
 fi
 echo "    bench_suite thread-count invariant, baseline gate green, gate bites"
 
+echo "==> benchmark: the out-of-workspace package builds, its tests and every workload's checks pass"
+# benchmark/ is a standalone package path-depending on crates/* and shims/*
+# (see BENCHMARK.json): an API move under a name `benchmark/src/sut.rs`
+# uses stops it compiling, and a dependency change rewrites its committed
+# lock file — both must fail here, not in the bench pipeline.
+bash benchmark/run.sh test
+bash benchmark/run.sh --smoke
+if ! git diff --quiet -- benchmark BENCHMARK.json; then
+    echo "FAIL: building or running the benchmark changed files under benchmark/ or BENCHMARK.json:" >&2
+    git diff --stat -- benchmark BENCHMARK.json >&2
+    exit 1
+fi
+echo "    benchmark tests and smoke run green, benchmark/ and BENCHMARK.json untouched"
+
 echo "CI green."

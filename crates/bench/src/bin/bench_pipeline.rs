@@ -20,7 +20,7 @@ use bytes::Bytes;
 use lazarus_apps::kvs::KvsService;
 use lazarus_apps::ycsb::{YcsbConfig, YcsbWorkload};
 use lazarus_bench::perf::Suite;
-use lazarus_bench::{measure_throughput_configured, write_bench_json, ThroughputRun};
+use lazarus_bench::{measure_throughput_observed, write_bench_json, ThroughputRun};
 use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::service::CounterService;
 use lazarus_obs::Registry;
@@ -89,23 +89,25 @@ fn run_cell(
     };
     let profiles = [PerfProfile::bare_metal(); 4];
     let run = match workload {
-        "echo" => measure_throughput_configured(
+        "echo" => measure_throughput_observed(
             cfg,
             &profiles,
             || Box::new(CounterService::new()),
             |_| Bytes::new(),
             preset.echo_clients,
             preset.echo_secs,
+            None,
         ),
         _ => {
             let gen = Arc::new(Mutex::new(YcsbWorkload::new(YcsbConfig::fig10(), 7)));
-            measure_throughput_configured(
+            measure_throughput_observed(
                 cfg,
                 &profiles,
                 || Box::new(KvsService::new()),
                 move |_| gen.lock().next_op(),
                 preset.ycsb_clients,
                 preset.ycsb_secs,
+                None,
             )
         }
     };

@@ -20,9 +20,7 @@
 
 use bytes::Bytes;
 use lazarus_bench::perf::Suite;
-use lazarus_bench::{
-    measure_throughput_configured, measure_throughput_profiled, write_bench_json, ThroughputRun,
-};
+use lazarus_bench::{measure_throughput_observed, write_bench_json, ThroughputRun};
 use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::service::{BlobService, CounterService};
 use lazarus_bft::types::{Epoch, Membership, ReplicaId};
@@ -94,7 +92,8 @@ fn echo_workload(
     queues: &mut Vec<QueueSample>,
 ) {
     let body = Bytes::from(vec![0u8; payload]);
-    let run = measure_throughput_profiled(
+    let run = measure_throughput_observed(
+        SimConfig::default(),
         &[PerfProfile::bare_metal(); 4],
         || Box::new(CounterService::new()),
         move |_| body.clone(),
@@ -121,7 +120,8 @@ fn sweep_workload(
 ) {
     for &clients in preset.sweep_clients {
         let root = format!("pipeline_c{clients}");
-        let run = measure_throughput_profiled(
+        let run = measure_throughput_observed(
+            SimConfig::default(),
             &[PerfProfile::bare_metal(); 4],
             || Box::new(CounterService::new()),
             |_| Bytes::new(),
@@ -153,13 +153,14 @@ fn window_workload(preset: &Preset, suite: &mut Suite) {
             max_batch,
             ..SimConfig::default()
         };
-        let run = measure_throughput_configured(
+        let run = measure_throughput_observed(
             cfg,
             &[PerfProfile::bare_metal(); 4],
             || Box::new(CounterService::new()),
             |_| Bytes::new(),
             clients,
             preset.echo_secs,
+            None,
         );
         println!("pipeline w={window}: {:.0} ops/s", run.throughput_ops_s);
         suite.push("pipeline", &format!("w{window}_ops_s"), run.throughput_ops_s);

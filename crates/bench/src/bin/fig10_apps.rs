@@ -15,6 +15,7 @@ use lazarus_bench::{
     fmt_kops, measure_throughput, measure_throughput_observed, print_table, write_metrics_json,
 };
 use lazarus_obs::Registry;
+use lazarus_testbed::cluster::SimConfig;
 use lazarus_testbed::oscatalog::{fastest_set, slowest_set, vm_profile, PerfProfile};
 use lazarus_testbed::LatencySummary;
 use parking_lot::Mutex;
@@ -31,11 +32,13 @@ fn kvs_throughput(profiles: &[PerfProfile], registry: &Registry) -> (f64, Option
         w
     }));
     let run = measure_throughput_observed(
+        SimConfig::default(),
         profiles,
         || Box::new(KvsService::new()),
         move |_| workload.lock().next_op(),
         250,
         4,
+        None,
     );
     (run.throughput_ops_s, run.summary)
 }

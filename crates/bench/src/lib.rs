@@ -16,9 +16,8 @@ use lazarus_testbed::cluster::{SimCluster, SimConfig};
 use lazarus_testbed::oscatalog::PerfProfile;
 use lazarus_testbed::sim::{Micros, SEC};
 
-/// Drives a 4-replica cluster under a closed-loop client population and
-/// returns the steady-state throughput in ops/s (measured after a 1 s
-/// warm-up).
+/// Steady-state throughput in ops/s of [`measure_throughput_observed`] on
+/// the default [`SimConfig`] — the number the figure binaries plot.
 pub fn measure_throughput(
     profiles: &[PerfProfile],
     services: impl Fn() -> Box<dyn Service>,
@@ -26,7 +25,9 @@ pub fn measure_throughput(
     clients: usize,
     run_secs: u64,
 ) -> f64 {
-    measure_throughput_observed(profiles, services, payload, clients, run_secs).throughput_ops_s
+    let cfg = SimConfig::default();
+    measure_throughput_observed(cfg, profiles, services, payload, clients, run_secs, None)
+        .throughput_ops_s
 }
 
 /// One [`measure_throughput_observed`] run: the headline number plus the
@@ -44,23 +45,16 @@ pub struct ThroughputRun {
     pub queues: Vec<lazarus_obs::QueueSample>,
 }
 
-/// [`measure_throughput`] on an instrumented cluster, returning the full
-/// [`ThroughputRun`] so harnesses can fold the run into a metrics report.
+/// Drives one replica per entry of `profiles` on an instrumented cluster
+/// under a closed-loop client population for `run_secs` virtual seconds and
+/// returns the full [`ThroughputRun`] (throughput measured after a 1 s
+/// warm-up). `cfg` is the caller's [`SimConfig`] — the pipelining
+/// benchmarks sweep `window` and `batch_policy`; `profiler` optionally
+/// charges the run's modeled hot-path costs under a `root` frame — the
+/// `bench_suite` hook that lets every workload share one
+/// [`lazarus_obs::Profiler`] with per-workload roots.
 pub fn measure_throughput_observed(
-    profiles: &[PerfProfile],
-    services: impl Fn() -> Box<dyn Service>,
-    payload: impl Fn(u64) -> Bytes + Clone + 'static,
-    clients: usize,
-    run_secs: u64,
-) -> ThroughputRun {
-    measure_throughput_profiled(profiles, services, payload, clients, run_secs, None)
-}
-
-/// As [`measure_throughput_observed`], optionally charging the run's
-/// modeled hot-path costs into `profiler` under a `root` frame — the
-/// `bench_suite` hook that lets every workload share one [`lazarus_obs::Profiler`]
-/// with per-workload roots.
-pub fn measure_throughput_profiled(
+    cfg: SimConfig,
     profiles: &[PerfProfile],
     services: impl Fn() -> Box<dyn Service>,
     payload: impl Fn(u64) -> Bytes + Clone + 'static,
@@ -69,39 +63,10 @@ pub fn measure_throughput_profiled(
     profiler: Option<(&lazarus_obs::Profiler, &str)>,
 ) -> ThroughputRun {
     let membership = Membership::new(Epoch(0), (0..profiles.len() as u32).map(ReplicaId).collect());
-    let mut sim = SimCluster::new_observed(SimConfig::default());
+    let mut sim = SimCluster::new_observed(cfg);
     if let Some((p, root)) = profiler {
         sim.attach_profiler(p.clone(), root);
     }
-    for (r, p) in profiles.iter().enumerate() {
-        sim.add_node(ReplicaId(r as u32), *p, membership.clone(), services());
-    }
-    sim.add_clients(1, clients, membership, payload);
-    let horizon: Micros = run_secs * SEC;
-    sim.run_until(horizon);
-    let obs = sim.obs().expect("observed cluster").clone();
-    ThroughputRun {
-        throughput_ops_s: sim.metrics.throughput(SEC, horizon),
-        summary: sim.metrics.summary(),
-        obs,
-        queues: sim.queue_samples().to_vec(),
-    }
-}
-
-/// As [`measure_throughput_observed`], but on a caller-supplied
-/// [`SimConfig`] — the pipelining benchmarks sweep `window` and
-/// `batch_policy`, which the default-config helpers pin to the classic
-/// one-slot pipeline.
-pub fn measure_throughput_configured(
-    cfg: SimConfig,
-    profiles: &[PerfProfile],
-    services: impl Fn() -> Box<dyn Service>,
-    payload: impl Fn(u64) -> Bytes + Clone + 'static,
-    clients: usize,
-    run_secs: u64,
-) -> ThroughputRun {
-    let membership = Membership::new(Epoch(0), (0..profiles.len() as u32).map(ReplicaId).collect());
-    let mut sim = SimCluster::new_observed(cfg);
     for (r, p) in profiles.iter().enumerate() {
         sim.add_node(ReplicaId(r as u32), *p, membership.clone(), services());
     }

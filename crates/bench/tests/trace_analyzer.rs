@@ -5,7 +5,7 @@
 
 use lazarus_bench::flight::{dump_traced, load_dir, merge, Analysis};
 use lazarus_core::{Controller, ControllerConfig, HealthPolicy};
-use lazarus_obs::causal::EventKind;
+use lazarus_obs::causal::{EventKind, FlightEvent};
 use lazarus_obs::{AnomalyKind, Obs};
 use lazarus_osint::catalog::study_oses;
 use lazarus_osint::datamgr::DataManager;
@@ -158,6 +158,15 @@ fn chunked_cst_and_recovery_metrics_match_flight_events() {
         .map(|(_, evs)| evs.iter().filter(|e| e.event == EventKind::Recover).count())
         .sum();
     assert_eq!(recover_events, 1, "one reboot, one recover flight event");
+    // The reboot builds a fresh replica and re-attaches the node's recorder
+    // before `note_recovered`: the event lands in that node's own ring,
+    // after its pre-crash history and before what the new replica decides.
+    let recover_at = |evs: &[FlightEvent]| evs.iter().position(|e| e.event == EventKind::Recover);
+    let rebooted = traced.streams.iter().find_map(|(_, evs)| Some((evs, recover_at(evs)?)));
+    let (evs, at) = rebooted.expect("counted above");
+    let commits = |evs: &[FlightEvent]| evs.iter().filter(|e| e.event == EventKind::Commit).count();
+    assert!(commits(&evs[..at]) > 0, "pre-crash events survive the reboot");
+    assert!(commits(&evs[at..]) > 0, "the rebuilt replica records into the same ring");
     let recovery_us = traced
         .snapshot
         .gauges

@@ -26,8 +26,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lazarus_obs::causal::{EventKind, FlightRecorder, TraceCtx, NO_SPAN};
-use lazarus_obs::profile::{Profiler, Scope};
+use lazarus_obs::causal::{EventKind, TraceCtx};
 
 use crate::consensus::Instance;
 use crate::crypto::{Digest, Keyring, Principal};
@@ -36,7 +35,7 @@ use crate::messages::{
     Batch, CheckpointMsg, ChunkManifest, ConsensusMsg, CstReply, Message, ReconfigCommand, Reply,
     Request, WriteCertificate,
 };
-use crate::obs::ReplicaObs;
+use crate::obs::Instruments;
 use crate::service::Service;
 use crate::storage::{Recovered, Storage};
 use crate::types::{ClientId, Epoch, Membership, ReplicaId, SeqNo, View};
@@ -78,6 +77,12 @@ impl Ctx {
     /// it runs links to that span.
     pub fn traced(trace: TraceCtx) -> Ctx {
         Ctx { trace: Some(trace) }
+    }
+
+    /// The context events recorded while handling this input link to
+    /// ([`TraceCtx::UNTRACED`] when it carried none).
+    pub fn handling(self) -> TraceCtx {
+        self.trace.unwrap_or(TraceCtx::UNTRACED)
     }
 }
 
@@ -321,21 +326,10 @@ pub struct Replica<S: Service> {
     cst: Option<CstState>,
     chunk_store: Option<ChunkStore>,
 
-    // Optional instrumentation (None = one branch per hook).
-    obs: Option<ReplicaObs>,
-
-    // Optional causal flight recorder, plus the context of the input
-    // currently being handled — every protocol event recorded while an
-    // input runs is parented to that input's receive (or timer) span.
-    flight: Option<FlightRecorder>,
-    cur_ctx: TraceCtx,
-
-    // Optional phase profiler, plus the root scope of the input currently
-    // being handled — internal phases (enqueue/propose/execute/cst) open
-    // children of it. `last_batch_fill` is the leader-side batch occupancy
-    // the queue sampler reads.
-    profiler: Option<Profiler>,
-    cur_scope: Option<Scope>,
+    // The instrumentation boundary: every hook below is one call into it
+    // (unattached = one branch per hook).
+    probe: Instruments,
+    // Leader-side batch occupancy the queue sampler reads.
     last_batch_fill: usize,
 }
 
@@ -425,10 +419,7 @@ impl<S: Service> Replica<S> {
     /// [`Replica::recover`] because instrumentation attaches after
     /// construction ([`Self::attach`]).
     pub fn note_recovered(&mut self, info: &RecoveryInfo) {
-        if let Some(obs) = &self.obs {
-            obs.recovered(info.stable_seq, info.virtual_us, info.torn_tail);
-        }
-        self.flight_event(EventKind::Recover, Some(info.stable_seq.0), None, info.virtual_us);
+        self.probe.recovered(info.stable_seq, info.virtual_us, info.torn_tail);
     }
 
     fn fresh(cfg: ReplicaConfig, service: S, log: DecidedLog) -> Replica<S> {
@@ -459,11 +450,7 @@ impl<S: Service> Replica<S> {
             sent_stop_for: None,
             cst: None,
             chunk_store: None,
-            obs: None,
-            flight: None,
-            cur_ctx: TraceCtx::root(NO_SPAN, NO_SPAN),
-            profiler: None,
-            cur_scope: None,
+            probe: Instruments::new(),
             last_batch_fill: 0,
         }
     }
@@ -524,82 +511,20 @@ impl<S: Service> Replica<S> {
     }
 
     /// Attaches an instrumentation bundle: metrics, health tracking, the
-    /// causal flight recorder, and the phase profiler — each optional,
-    /// applied in dependency order (the health tracker hooks into the
-    /// metrics bundle, so `obs` attaches first).
-    ///
-    /// * metrics (`obs`) — per-replica counters/histograms against the
-    ///   shared registry and injected clock; without one every hook is a
-    ///   single `Option` branch;
-    /// * health — the streaming tracker; the replica registers itself under
-    ///   its current view and leader (requires metrics, now or earlier);
-    /// * flight — protocol milestones (propose / write / accept / commit /
-    ///   exec / view-change / help re-vote / cst) recorded into its ring,
-    ///   each parented to the context of the input being handled;
-    /// * profiler — every input opens a scope at
-    ///   `replica_<id>;on_message;<label>` (or `on_timer`) with internal
-    ///   phases as children. In the discrete-event testbed the clock is
-    ///   frozen while a handler runs, so scopes contribute deterministic
-    ///   call counts; virtual time is charged by the embedder.
-    pub fn attach(&mut self, instruments: crate::obs::Instruments) {
-        if let Some(obs) = &instruments.obs {
-            self.obs = Some(ReplicaObs::new(obs, self.cfg.id));
-        }
-        if let Some(health) = instruments.health {
-            let view = self.view;
-            let leader = self.membership.leader(view);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.attach_health(health, view, leader);
-            }
-        }
-        if let Some(flight) = instruments.flight {
-            self.flight = Some(flight);
-        }
-        if let Some(profiler) = instruments.profiler {
-            self.profiler = Some(profiler);
-        }
+    /// causal flight recorder, and the phase profiler — each optional (see
+    /// the [`Instruments`] combinators). Present sinks are merged into what
+    /// is already attached, in dependency order: the health tracker hooks
+    /// into the metrics, so metrics attach first and the replica registers
+    /// itself with the tracker under its current view and leader.
+    pub fn attach(&mut self, instruments: Instruments) {
+        let leader = self.membership.leader(self.view);
+        self.probe.merge(instruments, self.cfg.id.0, self.view, leader);
     }
 
-    /// Attaches the metrics bundle only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_obs(&mut self, obs: &lazarus_obs::Obs) {
-        self.attach(crate::obs::Instruments::new().with_obs(obs.clone()));
-    }
-
-    /// Attaches the streaming health tracker only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_health(&mut self, health: lazarus_obs::HealthTracker) {
-        self.attach(crate::obs::Instruments::new().with_health(health));
-    }
-
-    /// Attaches the causal flight recorder only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_flight(&mut self, flight: FlightRecorder) {
-        self.attach(crate::obs::Instruments::new().with_flight(flight));
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Attaches the phase profiler only.
-    #[deprecated(note = "use Replica::attach with an Instruments bundle")]
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        self.attach(crate::obs::Instruments::new().with_profiler(profiler));
-    }
-
-    /// Opens the root scope for one input; the returned value is stored in
-    /// `cur_scope` so phase children can be created from `&self`.
-    fn input_scope(&self, entry: &str, label: &str) -> Option<Scope> {
-        self.profiler
-            .as_ref()
-            .map(|p| p.scope(&[&format!("replica_{}", self.cfg.id.0), entry, label]))
-    }
-
-    /// A child scope of the current input's root scope, if profiling.
-    fn phase_scope(&self, name: &str) -> Option<Scope> {
-        self.cur_scope.as_ref().map(|s| s.child(name))
+    /// The instrumentation this replica records through — the host records
+    /// its wire events through the same object.
+    pub fn instruments(&self) -> &Instruments {
+        &self.probe
     }
 
     /// Client requests queued but not yet proposed (queue sampler).
@@ -621,13 +546,6 @@ impl<S: Service> Replica<S> {
         self.last_batch_fill
     }
 
-    /// Records one protocol event under the current input's context.
-    fn flight_event(&self, event: EventKind, seq: Option<u64>, view: Option<u64>, extra: u64) {
-        if let Some(flight) = &self.flight {
-            flight.protocol(event, seq, view, &self.cur_ctx, extra);
-        }
-    }
-
     /// Counts a refused ingress message under
     /// `bft_rejected_messages_total{reason=…}`. Rejection is the designed
     /// response to forged, stale, or Byzantine traffic: drop, count, move
@@ -635,18 +553,14 @@ impl<S: Service> Replica<S> {
     /// attributable replica (client-origin, or benign pipeline skew like
     /// votes on already-decided slots); it carries no health charge.
     fn reject(&self, reason: &'static str) {
-        if let Some(obs) = &self.obs {
-            obs.rejected(reason, None);
-        }
+        self.probe.rejected(reason, None);
     }
 
     /// As [`Self::reject`], but the refused message came from member
     /// replica `from` whose own behaviour caused the refusal — the health
     /// tracker charges the rejection to that sender.
     fn reject_from(&self, reason: &'static str, from: ReplicaId) {
-        if let Some(obs) = &self.obs {
-            obs.rejected(reason, Some(from));
-        }
+        self.probe.rejected(reason, Some(from));
     }
 
     /// Validity gate for proposed batches: every request must carry a valid
@@ -684,14 +598,11 @@ impl<S: Service> Replica<S> {
     /// recorded while this input runs links to it; [`Ctx::UNTRACED`] makes
     /// the events causal roots.
     pub fn on_message(&mut self, message: Message, ctx: Ctx) -> Vec<Action> {
-        self.cur_ctx = ctx.trace.unwrap_or(TraceCtx::root(NO_SPAN, NO_SPAN));
         if self.status == Status::Retired {
             return Vec::new();
         }
-        self.cur_scope = self.input_scope("on_message", message.label());
-        if let Some(obs) = &self.obs {
-            obs.message_in(message.label());
-        }
+        self.probe.input(ctx, "on_message", message.label());
+        self.probe.message_in(message.label());
         let mut actions = Vec::new();
         match message {
             Message::Request(request) => {
@@ -729,22 +640,14 @@ impl<S: Service> Replica<S> {
                 self.on_reconfig_command(cmd, &mut actions);
             }
         }
-        self.cur_scope = None;
+        self.probe.input_done();
         actions
-    }
-
-    /// [`on_message`](Replica::on_message) with the context passed as a
-    /// bare optional trace.
-    #[deprecated(note = "use on_message(message, ctx) with a replica::Ctx")]
-    pub fn on_message_traced(&mut self, message: Message, ctx: Option<TraceCtx>) -> Vec<Action> {
-        self.on_message(message, Ctx::from(ctx))
     }
 
     /// Handles a timer expiry under the given input [`Ctx`] (the
     /// transport's timer span — timers are causal roots of everything they
     /// trigger, e.g. watchdog-driven view changes).
     pub fn on_timer(&mut self, timer: TimerId, ctx: Ctx) -> Vec<Action> {
-        self.cur_ctx = ctx.trace.unwrap_or(TraceCtx::root(NO_SPAN, NO_SPAN));
         if self.status == Status::Retired {
             return Vec::new();
         }
@@ -753,7 +656,7 @@ impl<S: Service> Replica<S> {
             TimerId::Sync => "sync",
             TimerId::Cst => "cst",
         };
-        self.cur_scope = self.input_scope("on_timer", timer_label);
+        self.probe.input(ctx, "on_timer", timer_label);
         let mut actions = Vec::new();
         match timer {
             TimerId::Request => self.on_request_timer(&mut actions),
@@ -771,15 +674,8 @@ impl<S: Service> Replica<S> {
                 }
             }
         }
-        self.cur_scope = None;
+        self.probe.input_done();
         actions
-    }
-
-    /// [`on_timer`](Replica::on_timer) with the context passed as a bare
-    /// optional trace.
-    #[deprecated(note = "use on_timer(timer, ctx) with a replica::Ctx")]
-    pub fn on_timer_traced(&mut self, timer: TimerId, ctx: Option<TraceCtx>) -> Vec<Action> {
-        self.on_timer(timer, Ctx::from(ctx))
     }
 
     // -----------------------------------------------------------------
@@ -787,7 +683,7 @@ impl<S: Service> Replica<S> {
     // -----------------------------------------------------------------
 
     fn enqueue_request(&mut self, request: Request, _actions: &mut [Action]) {
-        let _phase = self.phase_scope("enqueue");
+        let _phase = self.probe.phase("enqueue");
         // Authentication: reject forged client tags.
         let principal = if request.client == CONTROLLER_CLIENT {
             Principal::Controller
@@ -870,7 +766,7 @@ impl<S: Service> Replica<S> {
             if take == 0 {
                 return;
             }
-            let _phase = self.phase_scope("propose");
+            let _phase = self.probe.phase("propose");
             self.last_batch_fill = take;
             let mut taken: Vec<Digest> = Vec::with_capacity(take);
             let mut requests: Vec<Request> = Vec::with_capacity(take);
@@ -928,15 +824,7 @@ impl<S: Service> Replica<S> {
             {
                 if let Some(batch) = self.log.get(seq) {
                     self.helped.insert(from, (seq, view));
-                    if let Some(obs) = &self.obs {
-                        obs.help_revote(from, seq);
-                    }
-                    self.flight_event(
-                        EventKind::HelpRevote,
-                        Some(seq.0),
-                        Some(view.0),
-                        u64::from(from.0),
-                    );
+                    self.probe.help_revote(from, seq, view);
                     let digest = batch.digest();
                     for vote in [
                         ConsensusMsg::Write { view, seq, digest },
@@ -1023,10 +911,7 @@ impl<S: Service> Replica<S> {
                     self.reject_from("equivocation", from);
                     return;
                 }
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.proposal_seen(seq);
-                }
-                self.flight_event(EventKind::Propose, Some(seq.0), Some(pview.0), 0);
+                self.probe.proposed(seq, pview);
             }
             ConsensusMsg::Write { view: wview, seq, digest } => {
                 self.instance(seq).on_write(from, wview, digest);
@@ -1067,10 +952,7 @@ impl<S: Service> Replica<S> {
             inst.on_write(me, view, digest);
             let msg = ConsensusMsg::Write { view, seq, digest };
             self.broadcast_consensus(msg, actions);
-            self.flight_event(EventKind::Write, Some(seq.0), Some(view.0), 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.wrote(seq);
-            }
+            self.probe.voted(EventKind::Write, seq, view);
             // fallthrough to re-check quorums with our own vote
         }
         let inst = self.insts.get_mut(&seq.0).expect("instance exists");
@@ -1080,10 +962,7 @@ impl<S: Service> Replica<S> {
             inst.on_accept(me, view, digest);
             let msg = ConsensusMsg::Accept { view, seq, digest };
             self.broadcast_consensus(msg, actions);
-            self.flight_event(EventKind::Accept, Some(seq.0), Some(view.0), 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.accepted(seq);
-            }
+            self.probe.voted(EventKind::Accept, seq, view);
         }
         let inst = self.insts.get_mut(&seq.0).expect("instance exists");
         // Decision. The slot may be ahead of the contiguous prefix — it
@@ -1113,15 +992,7 @@ impl<S: Service> Replica<S> {
             let checkpoint_due = self.log.append(next, batch.clone());
             self.execute_batch(next, &batch, actions);
             self.last_decided = next;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.decided(next);
-            }
-            self.flight_event(
-                EventKind::Commit,
-                Some(next.0),
-                Some(self.view.0),
-                batch.len() as u64,
-            );
+            self.probe.decided(next, self.view, batch.len());
             if checkpoint_due {
                 let snapshot = self.service.snapshot();
                 let digest = self.log.local_checkpoint(next, snapshot);
@@ -1130,9 +1001,7 @@ impl<S: Service> Replica<S> {
                 // Count our own vote.
                 let quorum = self.membership.quorum();
                 self.log.on_checkpoint_vote(self.cfg.id, next, digest, quorum);
-                if let Some(obs) = &self.obs {
-                    obs.checkpoint(next);
-                }
+                self.probe.checkpoint(next);
             }
             // Progress resets the watchdog escalation (and its baseline, so
             // the next timer tick doesn't see stale progress).
@@ -1152,7 +1021,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn execute_batch(&mut self, seq: SeqNo, batch: &Batch, actions: &mut Vec<Action>) {
-        let _phase = self.phase_scope("execute");
+        let _phase = self.probe.phase("execute");
         let mut executed = 0usize;
         for request in batch.requests() {
             let digest = request.digest();
@@ -1187,10 +1056,7 @@ impl<S: Service> Replica<S> {
                 actions.push(Action::SendClient(request.client, reply));
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.executed(executed);
-        }
-        self.flight_event(EventKind::Exec, Some(seq.0), None, executed as u64);
+        self.probe.executed(seq, executed);
         actions.push(Action::Executed(seq, executed));
     }
 
@@ -1311,17 +1177,14 @@ impl<S: Service> Replica<S> {
     /// accepted (or decided), violating agreement.
     fn adopt_view(&mut self, view: View) {
         self.view = view;
-        self.flight_event(EventKind::ViewChange, None, Some(view.0), 1);
+        self.probe.view_adopted(view);
     }
 
     fn install_view(&mut self, new_view: View, actions: &mut Vec<Action>) {
         self.view = new_view;
         self.stops.remove(&new_view.0.saturating_sub(1));
         let new_leader = self.membership.leader(new_view);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.view_change(new_view, new_leader);
-        }
-        self.flight_event(EventKind::ViewChange, None, Some(new_view.0), 0);
+        self.probe.view_installed(new_view, new_leader);
         // Capture the whole window's evidence *before* resetting its slots —
         // write certificates and out-of-order decisions are what the new
         // leader must respect.
@@ -1579,7 +1442,7 @@ impl<S: Service> Replica<S> {
     }
 
     fn start_cst_with_designee(&mut self, designee: usize, actions: &mut Vec<Action>) {
-        let _phase = self.phase_scope("cst");
+        let _phase = self.probe.phase("cst");
         self.status = Status::StateTransfer;
         let others: Vec<ReplicaId> = self.membership.others(self.cfg.id).collect();
         if others.is_empty() {
@@ -1587,7 +1450,7 @@ impl<S: Service> Replica<S> {
         }
         let designee = designee % others.len();
         self.cst = Some(CstState { replies: HashMap::new(), certified: None, designee });
-        self.flight_event(EventKind::CstStart, Some(self.last_decided.0), Some(self.view.0), 0);
+        self.probe.cst_started(self.last_decided, self.view);
         for peer in others {
             actions.push(Action::Send(
                 peer,
@@ -1694,11 +1557,7 @@ impl<S: Service> Replica<S> {
             // Chunks verified before the interruption (designee rotation,
             // partition, donor crash) are kept — zero re-fetch.
             let kept = self.chunk_store.as_ref().map(ChunkStore::done).unwrap_or(0);
-            if kept > 0 {
-                if let Some(obs) = &self.obs {
-                    obs.cst_chunks_resumed(kept as u64);
-                }
-            }
+            self.probe.cst_chunks_resumed(kept);
         } else {
             self.chunk_store = Some(ChunkStore {
                 checkpoint_seq: seq,
@@ -1798,10 +1657,7 @@ impl<S: Service> Replica<S> {
         if !chunk_ok {
             // Corrupt or wrong-sized chunk: count it, charge the sender,
             // and re-request from a different source.
-            self.reject_from("bad-chunk", from);
-            if let Some(obs) = &self.obs {
-                obs.cst_chunk_rejected();
-            }
+            self.probe.cst_chunk_rejected(from);
             actions.push(Action::Send(
                 next_source,
                 Message::CstChunkRequest { from: self.cfg.id, seq, index },
@@ -1811,10 +1667,7 @@ impl<S: Service> Replica<S> {
         if let Some(store) = self.chunk_store.as_mut() {
             store.chunks[index_us] = Some(data);
         }
-        if let Some(obs) = &self.obs {
-            obs.cst_chunk_fetched();
-        }
-        self.flight_event(EventKind::CstChunk, Some(seq.0), None, u64::from(index));
+        self.probe.cst_chunk_fetched(seq, index);
         self.maybe_finish_cst(actions);
     }
 
@@ -1913,10 +1766,7 @@ impl<S: Service> Replica<S> {
         self.status = Status::Active;
         actions.push(Action::CancelTimer(TimerId::Cst));
         actions.push(Action::StateTransferred(self.last_decided));
-        if let Some(obs) = &self.obs {
-            obs.state_transferred(self.last_decided);
-        }
-        self.flight_event(EventKind::CstDone, Some(self.last_decided.0), Some(self.view.0), 0);
+        self.probe.cst_done(self.last_decided, self.view);
         actions.push(Action::SetTimer(TimerId::Request, self.cfg.request_timeout));
         // Replay consensus traffic buffered during the transfer, for every
         // slot now inside the window (lowest first).
@@ -2023,9 +1873,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         self.membership = self.membership.reconfigured(add, remove);
-        if let Some(obs) = &self.obs {
-            obs.epoch_changed(self.membership.epoch, self.membership.n());
-        }
+        self.probe.epoch_changed(self.membership.epoch, self.membership.n());
         actions.push(Action::EpochChanged(self.membership.clone()));
         if remove == Some(self.cfg.id) {
             self.status = Status::Retired;
@@ -2072,6 +1920,31 @@ mod tests {
             assert_eq!(cluster.replica(id).last_decided(), SeqNo(1));
             assert_eq!(cluster.replica(id).service().executed(), 1);
         }
+    }
+
+    #[test]
+    fn attach_merges_sinks_instead_of_replacing_the_bundle() {
+        use lazarus_obs::causal::FlightRecorder;
+        use lazarus_obs::{HealthConfig, HealthTracker, Obs};
+        let mut cluster = TestCluster::new(4, 1000);
+        let obs = Obs::unclocked();
+        let health = HealthTracker::new(HealthConfig::default(), &obs);
+        let flight = FlightRecorder::new(1, 64, Arc::clone(obs.clock()));
+        // Replica 1 (a follower) attaches metrics + health first and the
+        // recorder in a second call, like `SimCluster::enable_flight` after
+        // `add_node`: the second attach must keep the first one's sinks.
+        let cfg = ReplicaConfig::new(ReplicaId(1), cluster.membership());
+        let (mut replica, actions) = Replica::new(cfg, CounterService::new());
+        replica.attach(Instruments::new().with_obs(&obs).with_health(health.clone()));
+        replica.attach(Instruments::new().with_flight(flight.clone()));
+        cluster.insert_replica(1, replica, actions);
+        cluster.run_client_op(&mut client(1, &cluster), b"ping");
+
+        assert_eq!(obs.registry.counter("bft_slots_decided_total").get(), 1, "metrics kept");
+        assert!(health.snapshot().replica(1).is_some(), "health tracker kept and registered");
+        let kinds: Vec<EventKind> = flight.events().iter().map(|e| e.event).collect();
+        use EventKind::{Accept, Commit, Exec, Propose, Write};
+        assert_eq!(kinds[..5], [Propose, Write, Accept, Exec, Commit], "flight recorder added");
     }
 
     #[test]

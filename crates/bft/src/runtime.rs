@@ -17,15 +17,13 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
-use lazarus_obs::causal::{
-    slot_trace_id, EventKind, FlightEvent, FlightRecorder, TraceCtx, NO_SPAN,
-};
+use lazarus_obs::causal::{FlightRecorder, TraceCtx};
 use lazarus_obs::profile::Profiler;
 use lazarus_obs::{Gauge, HealthConfig, HealthTracker, Obs, WallClock};
 
 use crate::client::Client;
 use crate::messages::{Message, Reply};
-use crate::obs::{Instruments, WireObs};
+use crate::obs::Instruments;
 use crate::replica::{Action, Replica, ReplicaConfig, TimerId};
 use crate::service::Service;
 use crate::types::{ClientId, Epoch, Membership, ReplicaId};
@@ -33,72 +31,6 @@ use crate::types::{ClientId, Epoch, Membership, ReplicaId};
 enum Input {
     Msg(Arc<Message>, Option<TraceCtx>),
     Shutdown,
-}
-
-/// A root context with no trace: what a replica handles when the input
-/// carried no [`TraceCtx`] (client traffic, startup actions).
-const UNTRACED: TraceCtx = TraceCtx { trace_id: 0, parent_id: NO_SPAN, span_id: NO_SPAN };
-
-/// Allocates a wire span for `message` leaving for `to`, records the
-/// `send` event, and returns the context to attach on the wire. `None`
-/// when the sender has no flight recorder (tracing off).
-fn send_ctx(
-    flight: Option<&FlightRecorder>,
-    message: &Message,
-    to: ReplicaId,
-    handling: &TraceCtx,
-) -> Option<TraceCtx> {
-    let flight = flight?;
-    let slot = message.consensus_slot();
-    let trace_id = slot.map_or(handling.trace_id, |(_, seq)| slot_trace_id(seq.0));
-    let ctx = TraceCtx { trace_id, parent_id: handling.span_id, span_id: flight.next_span() };
-    flight.push(FlightEvent {
-        at_us: flight.now_micros(),
-        node: flight.node(),
-        event: EventKind::Send,
-        kind: message.label(),
-        seq: slot.map(|(_, s)| s.0),
-        view: slot.map(|(v, _)| v.0),
-        peer: Some(to.0),
-        trace_id: ctx.trace_id,
-        parent_id: ctx.parent_id,
-        span_id: ctx.span_id,
-        extra: 0,
-    });
-    Some(ctx)
-}
-
-/// Records the `recv` event for an arriving message and returns the
-/// handling context (a fresh span parented to the wire span). Without a
-/// flight recorder the wire context is adopted as-is.
-fn recv_ctx(
-    flight: Option<&FlightRecorder>,
-    message: &Message,
-    wire: Option<TraceCtx>,
-) -> Option<TraceCtx> {
-    let Some(flight) = flight else { return wire };
-    let slot = message.consensus_slot();
-    let trace_id =
-        wire.map(|c| c.trace_id).or_else(|| slot.map(|(_, seq)| slot_trace_id(seq.0))).unwrap_or(0);
-    let ctx = TraceCtx {
-        trace_id,
-        parent_id: wire.map_or(NO_SPAN, |c| c.span_id),
-        span_id: flight.next_span(),
-    };
-    flight.push(FlightEvent {
-        at_us: flight.now_micros(),
-        node: flight.node(),
-        event: EventKind::Recv,
-        kind: message.label(),
-        seq: slot.map(|(_, s)| s.0),
-        view: slot.map(|(v, _)| v.0),
-        peer: message.sender().map(|r| r.0),
-        trace_id: ctx.trace_id,
-        parent_id: ctx.parent_id,
-        span_id: ctx.span_id,
-        extra: 0,
-    });
-    Some(ctx)
 }
 
 type ReplyRouter = Arc<Mutex<HashMap<ClientId, Sender<Reply>>>>;
@@ -111,10 +43,10 @@ pub struct ThreadCluster {
     router: ReplyRouter,
     handles: Vec<JoinHandle<()>>,
     running: Arc<AtomicBool>,
-    obs: Option<Obs>,
-    health: Option<HealthTracker>,
+    /// Metrics, shared health tracker and shared profiler of an observed
+    /// cluster.
+    observed: Option<(Obs, HealthTracker, Profiler)>,
     flights: HashMap<u32, FlightRecorder>,
-    profiler: Option<Profiler>,
 }
 
 impl std::fmt::Debug for ThreadCluster {
@@ -145,45 +77,19 @@ impl ThreadCluster {
         F: FnMut() -> S,
     {
         let obs = Obs::new(Arc::new(WallClock::new()));
-        Self::start_instrumented(
-            n,
-            checkpoint_period,
-            make_service,
-            Instruments::new().with_obs(obs),
-        )
-    }
-
-    /// As [`ThreadCluster::start`], with every replica attached to the
-    /// given [`Instruments`] base: the bundle's metrics, health tracker,
-    /// and profiler are shared across all replica threads (a missing health
-    /// tracker or profiler is derived from the bundle's `obs` when one is
-    /// present). Per-replica flight recorders are always created internally
-    /// — a recorder in `base` is ignored, since one shared ring cannot
-    /// carry per-replica streams.
-    pub fn start_instrumented<S, F>(
-        n: u32,
-        checkpoint_period: u64,
-        make_service: F,
-        base: Instruments,
-    ) -> ThreadCluster
-    where
-        S: Service + 'static,
-        F: FnMut() -> S,
-    {
-        Self::start_inner(n, checkpoint_period, make_service, Some(base))
+        Self::start_inner(n, checkpoint_period, make_service, Some(obs))
     }
 
     fn start_inner<S, F>(
         n: u32,
         checkpoint_period: u64,
         mut make_service: F,
-        base: Option<Instruments>,
+        obs: Option<Obs>,
     ) -> ThreadCluster
     where
         S: Service + 'static,
         F: FnMut() -> S,
     {
-        let obs = base.as_ref().and_then(|b| b.obs.clone());
         let membership = Membership::new(Epoch(0), (0..n).map(ReplicaId).collect());
         let master_secret = b"lazarus-deployment".to_vec();
         let router: ReplyRouter = Arc::new(Mutex::new(HashMap::new()));
@@ -197,22 +103,20 @@ impl ThreadCluster {
             rxs.push(rx);
         }
 
-        // One shared health tracker across all replica threads: producer
-        // hooks commute under its mutex, scores read from wall-clock
-        // telemetry (best-effort, unlike the deterministic sim-time health
-        // the testbed produces).
-        let health = base
-            .as_ref()
-            .and_then(|b| b.health.clone())
-            .or_else(|| obs.as_ref().map(|o| HealthTracker::new(HealthConfig::default(), o)));
-        // One shared profiler across all replica threads: frame charges
-        // commute under its mutex, and the per-replica root frames keep
-        // the threads' stacks apart. Wall-clock scopes measure real CPU;
-        // scope `sim_us` deltas follow the bundle's wall clock here.
-        let profiler = base
-            .as_ref()
-            .and_then(|b| b.profiler.clone())
-            .or_else(|| obs.as_ref().map(|o| Profiler::new(Arc::clone(o.clock()))));
+        // One health tracker and one profiler shared across all replica
+        // threads: producer hooks and frame charges commute under their
+        // mutexes, and the per-replica root frames keep the threads' stacks
+        // apart. Scores and scopes follow the bundle's wall clock —
+        // best-effort telemetry, unlike the deterministic sim-time streams
+        // the testbed produces.
+        let observed = obs.map(|o| {
+            let health = HealthTracker::new(HealthConfig::default(), &o);
+            let profiler = Profiler::new(Arc::clone(o.clock()));
+            (o, health, profiler)
+        });
+        let base = observed.as_ref().map_or_else(Instruments::new, |(o, h, p)| {
+            Instruments::new().with_obs(o).with_health(h.clone()).with_profiler(p.clone())
+        });
         let mut handles = Vec::new();
         let mut flights = HashMap::new();
         for (id, rx) in (0..n).zip(rxs) {
@@ -221,56 +125,30 @@ impl ThreadCluster {
             cfg.master_secret = master_secret.clone();
             cfg.request_timeout = 50; // ms, wall clock
             let (mut replica, initial_actions) = Replica::new(cfg, make_service());
-            let wire = obs.as_ref().map(WireObs::new);
             // Real inbox depth of this replica's channel, sampled on every
             // loop iteration (wall-clock telemetry; the deterministic
             // counterpart is the testbed's health-tick sampler).
-            let inbox_gauge = obs.as_ref().map(|o| {
+            let inbox_gauge = observed.as_ref().map(|(o, ..)| {
                 o.registry.gauge_with("lazarus_queue_inbox_depth", &[("replica", &id.to_string())])
             });
-            // An observed cluster also records causal flight events
-            // (wall-clock stamps — best-effort, unlike the deterministic
-            // sim-time streams the testbed produces).
-            let flight = obs.as_ref().map(|o| {
+            // An observed cluster also records causal flight events, one
+            // ring per replica.
+            let mut probe = base.clone();
+            if let Some((o, ..)) = &observed {
                 let rec = FlightRecorder::new(
                     id,
                     FlightRecorder::DEFAULT_CAPACITY,
                     Arc::clone(o.clock()),
                 );
                 flights.insert(id, rec.clone());
-                rec
-            });
-            let mut instruments = Instruments::new();
-            if let Some(o) = &obs {
-                instruments = instruments.with_obs(o.clone());
+                probe = probe.with_flight(rec);
             }
-            if let Some(h) = &health {
-                instruments = instruments.with_health(h.clone());
-            }
-            if let Some(rec) = &flight {
-                instruments = instruments.with_flight(rec.clone());
-            }
-            if let Some(p) = &profiler {
-                instruments = instruments.with_profiler(p.clone());
-            }
-            replica.attach(instruments);
+            replica.attach(probe);
             let peers = inboxes.clone();
             let router = Arc::clone(&router);
             let running = Arc::clone(&running);
-            let health_tx = health.clone();
             handles.push(std::thread::spawn(move || {
-                replica_loop(
-                    replica,
-                    rx,
-                    peers,
-                    router,
-                    running,
-                    initial_actions,
-                    wire,
-                    flight,
-                    health_tx,
-                    inbox_gauge,
-                );
+                replica_loop(replica, rx, peers, router, running, initial_actions, inbox_gauge);
             }));
         }
 
@@ -281,31 +159,29 @@ impl ThreadCluster {
             router,
             handles,
             running,
-            obs,
-            health,
+            observed,
             flights,
-            profiler,
         }
     }
 
     /// The instrumentation bundle, when started via
     /// [`ThreadCluster::start_observed`].
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_ref()
+        self.observed.as_ref().map(|(obs, ..)| obs)
     }
 
     /// The shared health tracker, when started via
     /// [`ThreadCluster::start_observed`]. Call
     /// [`HealthTracker::snapshot`] to reduce the current windows.
     pub fn health(&self) -> Option<&HealthTracker> {
-        self.health.as_ref()
+        self.observed.as_ref().map(|(_, health, _)| health)
     }
 
     /// The shared phase profiler, when started via
     /// [`ThreadCluster::start_observed`]. Snapshot it for a wall-clock
     /// phase profile of every replica thread.
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+        self.observed.as_ref().map(|(.., profiler)| profiler)
     }
 
     /// Replica `id`'s flight recorder (shares the ring with the replica
@@ -342,7 +218,6 @@ impl ThreadCluster {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn replica_loop<S: Service>(
     mut replica: Replica<S>,
     rx: Receiver<Input>,
@@ -350,43 +225,32 @@ fn replica_loop<S: Service>(
     router: ReplyRouter,
     running: Arc<AtomicBool>,
     initial_actions: Vec<Action>,
-    wire: Option<WireObs>,
-    flight: Option<FlightRecorder>,
-    health: Option<HealthTracker>,
     inbox_gauge: Option<Gauge>,
 ) {
-    let me = replica.id().0;
+    // The host's copy of the replica's instrumentation: wire accounting
+    // and send/recv/timer spans land in the same sinks as its milestones.
+    let probe = replica.instruments().clone();
     let mut timers: HashMap<TimerId, Instant> = HashMap::new();
+    // Each copy of a message gets its own wire span (distinct DAG edges).
+    let post = |to: ReplicaId, message: Arc<Message>, handling: &TraceCtx| {
+        let ctx = probe.send_span(&message, to, None, handling);
+        if let Some(tx) = peers.get(&to.0) {
+            let _ = tx.send(Input::Msg(message, ctx));
+        }
+    };
     let apply =
         |actions: Vec<Action>, timers: &mut HashMap<TimerId, Instant>, handling: TraceCtx| {
             for action in actions {
                 match action {
                     Action::Send(to, message) => {
-                        if let Some(wire) = &wire {
-                            wire.sent(message.label(), message.wire_size(), 1);
-                        }
-                        if let Some(health) = &health {
-                            health.seen(me);
-                        }
-                        let ctx = send_ctx(flight.as_ref(), &message, to, &handling);
-                        if let Some(tx) = peers.get(&to.0) {
-                            let _ = tx.send(Input::Msg(Arc::new(message), ctx));
-                        }
+                        probe.wire_sent(&message, 1);
+                        post(to, Arc::new(message), &handling);
                     }
                     Action::Broadcast(peers_list, message) => {
-                        if let Some(wire) = &wire {
-                            wire.sent(message.label(), message.wire_size(), peers_list.len());
-                        }
-                        if let Some(health) = &health {
-                            health.seen(me);
-                        }
-                        // One shared allocation fanned out to every peer inbox;
-                        // each copy gets its own wire span (distinct DAG edges).
+                        // One shared allocation fanned out to every peer inbox.
+                        probe.wire_sent(&message, peers_list.len());
                         for to in peers_list {
-                            let ctx = send_ctx(flight.as_ref(), &message, to, &handling);
-                            if let Some(tx) = peers.get(&to.0) {
-                                let _ = tx.send(Input::Msg(Arc::clone(&message), ctx));
-                            }
+                            post(to, Arc::clone(&message), &handling);
                         }
                     }
                     Action::SendClient(client, reply) => {
@@ -404,7 +268,7 @@ fn replica_loop<S: Service>(
                 }
             }
         };
-    apply(initial_actions, &mut timers, UNTRACED);
+    apply(initial_actions, &mut timers, TraceCtx::UNTRACED);
 
     while running.load(Ordering::Relaxed) {
         let next_deadline = timers.values().min().copied();
@@ -416,10 +280,10 @@ fn replica_loop<S: Service>(
                 if let Some(gauge) = &inbox_gauge {
                     gauge.set(rx.len() as f64);
                 }
-                let ctx = recv_ctx(flight.as_ref(), &message, wire_ctx);
+                let ctx = probe.wire_received(&message, None, wire_ctx);
                 let message = Arc::try_unwrap(message).unwrap_or_else(|shared| (*shared).clone());
-                let actions = replica.on_message(message, ctx.into());
-                apply(actions, &mut timers, ctx.unwrap_or(UNTRACED));
+                let actions = replica.on_message(message, ctx);
+                apply(actions, &mut timers, ctx.handling());
             }
             Ok(Input::Shutdown) => break,
             Err(channel::RecvTimeoutError::Timeout) => {
@@ -428,12 +292,9 @@ fn replica_loop<S: Service>(
                     timers.iter().filter(|(_, &d)| d <= now).map(|(&t, _)| t).collect();
                 for timer in due {
                     timers.remove(&timer);
-                    // A timer is a causal root of everything it triggers.
-                    let ctx = flight
-                        .as_ref()
-                        .map(|f| f.protocol(EventKind::Timer, None, None, &UNTRACED, 0));
-                    let actions = replica.on_timer(timer, ctx.into());
-                    apply(actions, &mut timers, ctx.unwrap_or(UNTRACED));
+                    let ctx = probe.timer_fired();
+                    let actions = replica.on_timer(timer, ctx);
+                    apply(actions, &mut timers, ctx.handling());
                 }
             }
             Err(channel::RecvTimeoutError::Disconnected) => break,
@@ -570,7 +431,7 @@ mod tests {
 
     #[test]
     fn observed_cluster_records_causal_flight_events() {
-        use lazarus_obs::causal::EventKind;
+        use lazarus_obs::causal::{slot_trace_id, EventKind};
         let cluster = ThreadCluster::start_observed(4, 10_000, CounterService::new);
         let mut client = cluster.client(1);
         for i in 0..3u32 {

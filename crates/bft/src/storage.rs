@@ -359,21 +359,23 @@ impl Storage for Journal {
         // every older one wholesale. Batches decided after the checkpoint
         // slot may live in those older segments, so they are re-persisted
         // into the fresh segment alongside it.
+        // A checkpoint larger than `segment_bytes` makes the suffix roll
+        // again, so this commit may span several segments: all of them
+        // (index >= `first`) are live.
         self.file = None;
+        let first = self.next_index;
         self.write_record(&encode_checkpoint_body(checkpoint))?;
         for (seq, batch) in suffix {
             self.write_record(&encode_batch_body(*seq, batch))?;
         }
         self.sync()?;
-        let keep = self.segments.last().copied();
         let mut reclaimed = 0u64;
-        let stale: Vec<u64> = self.segments.iter().copied().filter(|&i| Some(i) != keep).collect();
-        for idx in stale {
+        for &idx in self.segments.iter().filter(|&&i| i < first) {
             let path = segment_path(&self.cfg.dir, idx);
             reclaimed += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             fs::remove_file(&path)?;
         }
-        self.segments.retain(|&i| Some(i) == keep);
+        self.segments.retain(|&i| i >= first);
         if let Some(obs) = &self.obs {
             obs.compaction(compaction_virtual_us(reclaimed));
         }
@@ -646,6 +648,33 @@ mod tests {
         let snapshot = Bytes::copy_from_slice(state);
         let digest = Digest::of(&snapshot);
         Checkpoint { seq: SeqNo(seq), snapshot, digest }
+    }
+
+    #[test]
+    fn checkpoint_larger_than_a_segment_survives_its_own_compaction() {
+        let dir = temp_dir("bigckpt");
+        let cfg = JournalConfig { segment_bytes: 1024, fsync: false, ..JournalConfig::new(&dir) };
+        let stable = checkpoint(2, &[7u8; 4096]);
+        let suffix: Vec<(SeqNo, Batch)> = (3..=5u64).map(|s| (SeqNo(s), batch(s))).collect();
+        let committed = {
+            let (mut journal, _) = Journal::open(cfg.clone()).expect("open");
+            for s in 1..=5u64 {
+                journal.append_batch(SeqNo(s), &batch(s)).expect("append");
+            }
+            // The 4 KiB checkpoint fills its fresh segment past the roll
+            // threshold, so the first suffix record rolls again.
+            journal.commit_checkpoint(&stable, &suffix).expect("commit");
+            assert!(journal.segment_count() >= 2, "the commit spans several segments");
+            journal.segments.clone()
+        };
+        assert_eq!(scan_segments(&dir).expect("scan"), committed, "only this commit's segments");
+        assert!(committed.iter().all(|&i| i >= 1), "the pre-checkpoint segment was compacted");
+        let (_, recovered) = Journal::open(cfg).expect("reopen");
+        assert_eq!(recovered.stable, Some(stable), "the suffix kept its base");
+        let entries: Vec<u64> = recovered.entries.keys().copied().collect();
+        assert_eq!(entries, vec![3, 4, 5]);
+        assert!(!recovered.torn_tail);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -58,6 +58,11 @@ impl TraceCtx {
     /// Encoded wire length in bytes.
     pub const WIRE_LEN: usize = 24;
 
+    /// The context of an input that carried no trace (client traffic,
+    /// controller injections, startup actions): events recorded under it
+    /// are causal roots.
+    pub const UNTRACED: TraceCtx = TraceCtx { trace_id: 0, parent_id: NO_SPAN, span_id: NO_SPAN };
+
     /// A root context: no parent.
     #[must_use]
     pub fn root(trace_id: u64, span_id: u64) -> TraceCtx {
@@ -272,6 +277,21 @@ impl FlightEvent {
     }
 }
 
+/// What an event is about: the message label (`"-"` for protocol
+/// milestones), the consensus slot and view it belongs to, and the other
+/// endpoint of a wire event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsgTag {
+    /// Message label (`"PROPOSE"`, …), `"-"` for protocol events.
+    pub kind: &'static str,
+    /// Consensus slot, when the event is slot-scoped.
+    pub seq: Option<u64>,
+    /// View number, when known.
+    pub view: Option<u64>,
+    /// The other endpoint of a wire event.
+    pub peer: Option<u32>,
+}
+
 #[derive(Debug)]
 struct FlightInner {
     ring: VecDeque<FlightEvent>,
@@ -320,14 +340,6 @@ impl FlightRecorder {
         self.node
     }
 
-    /// The recorder's clock, read now (µs) — for transports that build
-    /// wire [`FlightEvent`]s by hand and [`push`](FlightRecorder::push)
-    /// them.
-    #[must_use]
-    pub fn now_micros(&self) -> u64 {
-        self.clock.now_micros()
-    }
-
     /// Allocates the next span id: `((node + 1) << 40) | counter`.
     ///
     /// Node-unique and allocation-ordered; never returns [`NO_SPAN`].
@@ -339,9 +351,8 @@ impl FlightRecorder {
         ((u64::from(self.node) + 1) << 40) | n
     }
 
-    /// Appends `event` verbatim (caller supplies the timestamp — used by
-    /// the transport, whose send/recv times differ from "now").
-    pub fn push(&self, event: FlightEvent) {
+    /// Appends `event`, evicting (and counting) the oldest when full.
+    fn push(&self, event: FlightEvent) {
         let mut inner = self.inner.lock().expect("flight lock");
         if inner.ring.len() >= inner.capacity {
             inner.ring.pop_front();
@@ -350,9 +361,41 @@ impl FlightRecorder {
         inner.ring.push_back(event);
     }
 
+    /// Records one event under a fresh span caused by `cause` — the single
+    /// place a [`FlightEvent`] is built, for transport-side wire events and
+    /// replica-side protocol events alike. The event joins its slot's
+    /// trace when `tag` names one and `cause`'s trace otherwise; `at_us`
+    /// overrides the clock for transports whose send/recv times differ from
+    /// "now". Returns the recorded event's context (for further chaining).
+    pub fn record(
+        &self,
+        event: EventKind,
+        at_us: Option<u64>,
+        tag: MsgTag,
+        cause: &TraceCtx,
+        extra: u64,
+    ) -> TraceCtx {
+        let span = self.next_span();
+        let ev = FlightEvent {
+            at_us: at_us.unwrap_or_else(|| self.clock.now_micros()),
+            node: self.node,
+            event,
+            kind: tag.kind,
+            seq: tag.seq,
+            view: tag.view,
+            peer: tag.peer,
+            trace_id: tag.seq.map_or(cause.trace_id, slot_trace_id),
+            parent_id: cause.span_id,
+            span_id: span,
+            extra,
+        };
+        let out = ev.ctx();
+        self.push(ev);
+        out
+    }
+
     /// Records a replica-side protocol event stamped with the clock's
-    /// current time, under a fresh span childed to `ctx`. Returns the
-    /// recorded event's context (for further chaining).
+    /// current time, under a fresh span childed to `ctx`.
     pub fn protocol(
         &self,
         event: EventKind,
@@ -361,24 +404,7 @@ impl FlightRecorder {
         ctx: &TraceCtx,
         extra: u64,
     ) -> TraceCtx {
-        let span = self.next_span();
-        let trace_id = seq.map_or(ctx.trace_id, slot_trace_id);
-        let ev = FlightEvent {
-            at_us: self.clock.now_micros(),
-            node: self.node,
-            event,
-            kind: "-",
-            seq,
-            view,
-            peer: None,
-            trace_id,
-            parent_id: ctx.span_id,
-            span_id: span,
-            extra,
-        };
-        let out = ev.ctx();
-        self.push(ev);
-        out
+        self.record(event, None, MsgTag { kind: "-", seq, view, peer: None }, ctx, extra)
     }
 
     /// A copy of the ring, oldest first.

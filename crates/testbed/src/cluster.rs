@@ -20,14 +20,12 @@ use lazarus_bft::batcher::BatchPolicy;
 use lazarus_bft::client::Client;
 use lazarus_bft::crypto::{Keyring, Principal};
 use lazarus_bft::messages::{Batch, CheckpointMsg, ConsensusMsg, Message, ReconfigCommand, Reply};
-use lazarus_bft::obs::{Instruments, ReplicaObs, WireObs};
+use lazarus_bft::obs::Instruments;
 use lazarus_bft::replica::{Action, Replica, ReplicaConfig, Status, TimerId};
 use lazarus_bft::service::Service;
 use lazarus_bft::storage::{tear_tail, Journal, JournalConfig};
 use lazarus_bft::types::{ClientId, Epoch, Membership, ReplicaId, SeqNo, View};
-use lazarus_obs::causal::{
-    slot_trace_id, EventKind, FlightEvent, FlightRecorder, TraceCtx, NO_SPAN,
-};
+use lazarus_obs::causal::{EventKind, FlightEvent, FlightRecorder, TraceCtx};
 use lazarus_obs::profile::{Profiler, QueueSample};
 use lazarus_obs::{
     Clock, HealthConfig, HealthSnapshot, HealthTracker, Histogram, ManualClock, Obs,
@@ -104,10 +102,6 @@ impl Default for SimConfig {
 
 /// Cadence of the online health reduction in an observed cluster.
 const HEALTH_TICK: Micros = 250 * MS;
-
-/// The context a replica handles an input under when the input carried no
-/// trace (client traffic, controller injections, startup actions).
-const UNTRACED: TraceCtx = TraceCtx { trace_id: 0, parent_id: NO_SPAN, span_id: NO_SPAN };
 
 enum Ev {
     DeliverReplica(ReplicaId, Arc<Message>, Option<TraceCtx>),
@@ -216,11 +210,12 @@ impl Drop for SimCluster {
 /// Instrumentation handles owned by an observed [`SimCluster`].
 struct SimObs {
     bundle: Obs,
-    wire: WireObs,
     client_latency_us: Histogram,
     /// Streaming health aggregation over sim-time, reduced online every
     /// [`HEALTH_TICK`].
     health: HealthTracker,
+    /// What every replica of this cluster attaches: `bundle` + `health`.
+    probe: Instruments,
 }
 
 impl std::fmt::Debug for SimCluster {
@@ -272,11 +267,11 @@ impl SimCluster {
     pub fn new_observed(cfg: SimConfig) -> SimCluster {
         let mut sim = SimCluster::new(cfg);
         let bundle = Obs::new(Arc::clone(&sim.sim_clock) as Arc<dyn Clock>);
-        ReplicaObs::describe(&bundle);
+        let health = HealthTracker::new(HealthConfig::default(), &bundle);
         sim.obs = Some(SimObs {
-            wire: WireObs::new(&bundle),
             client_latency_us: bundle.registry.histogram("sim_client_latency_us"),
-            health: HealthTracker::new(HealthConfig::default(), &bundle),
+            probe: Instruments::new().with_obs(&bundle).with_health(health.clone()),
+            health,
             bundle,
         });
         // The reduction runs *online*, in virtual time: anomaly onsets and
@@ -306,6 +301,12 @@ impl SimCluster {
         if let Some(node) = self.nodes.get_mut(&id.0) {
             node.replica.attach(Instruments::new().with_flight(rec.clone()));
         }
+    }
+
+    /// Node `id`'s instrumentation — the replica's own bundle, so the wire
+    /// events recorded here and its protocol milestones share sinks.
+    fn probe(&self, id: ReplicaId) -> &Instruments {
+        self.nodes[&id.0].replica.instruments()
     }
 
     /// Replica `id`'s flight recorder, when tracing is enabled.
@@ -528,9 +529,7 @@ impl SimCluster {
         let (mut replica, actions, info) =
             Replica::recover(rcfg, service, Box::new(journal), recovered);
         if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
+            replica.attach(obs.probe.clone());
         }
         if let Some(checker) = self.checker.as_mut() {
             checker.record_recovery(id, info.stable_seq, info.stable_digest);
@@ -553,8 +552,43 @@ impl SimCluster {
         }
         self.queue.schedule_at(ready_at, Ev::NodeUp(id));
         for action in actions {
-            self.schedule_action(id, ready_at, action, UNTRACED);
+            self.schedule_action(id, ready_at, action, TraceCtx::UNTRACED);
         }
+    }
+
+    /// The replica configuration every node of this cluster derives from
+    /// [`SimConfig`].
+    fn replica_cfg(&self, id: ReplicaId, membership: Membership, join: bool) -> ReplicaConfig {
+        let mut rcfg = ReplicaConfig::new(id, membership);
+        rcfg.checkpoint_period = self.cfg.checkpoint_period;
+        rcfg.max_batch = self.cfg.max_batch;
+        rcfg.master_secret = SIM_SECRET.to_vec();
+        rcfg.join = join;
+        rcfg.initial_view = View(self.cfg.initial_view);
+        rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
+        rcfg.window = self.cfg.window;
+        rcfg.batch_policy = self.cfg.batch_policy;
+        rcfg
+    }
+
+    /// Instruments a freshly built replica and installs it as powered node
+    /// `id`.
+    fn install_node(
+        &mut self,
+        id: ReplicaId,
+        profile: PerfProfile,
+        mut replica: Replica<Box<dyn Service>>,
+        ready: bool,
+        durable: Option<DurableSpec>,
+    ) {
+        if let Some(obs) = &self.obs {
+            replica.attach(obs.probe.clone());
+        }
+        let station = ProcessingStation::new(profile.cores);
+        let timer_gen = HashMap::new();
+        let node = Node { replica, station, profile, ready, timer_gen, powered: true, durable };
+        self.nodes.insert(id.0, node);
+        self.attach_flight(id);
     }
 
     /// Adds a ready replica node at time zero.
@@ -565,33 +599,10 @@ impl SimCluster {
         membership: Membership,
         service: Box<dyn Service>,
     ) {
-        let mut rcfg = ReplicaConfig::new(id, membership);
-        rcfg.checkpoint_period = self.cfg.checkpoint_period;
-        rcfg.max_batch = self.cfg.max_batch;
-        rcfg.master_secret = SIM_SECRET.to_vec();
-        rcfg.initial_view = View(self.cfg.initial_view);
-        rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
-        rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
-        let (mut replica, actions) = Replica::new(rcfg, service);
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
-        let node = Node {
-            replica,
-            station: ProcessingStation::new(profile.cores),
-            profile,
-            ready: true,
-            timer_gen: HashMap::new(),
-            powered: true,
-            durable: None,
-        };
-        self.nodes.insert(id.0, node);
-        self.attach_flight(id);
+        let (replica, actions) = Replica::new(self.replica_cfg(id, membership, false), service);
+        self.install_node(id, profile, replica, true, None);
         let at = self.queue.now();
-        self.absorb(id, at, actions, UNTRACED);
+        self.absorb(id, at, actions, TraceCtx::UNTRACED);
     }
 
     /// Adds a ready *durable* replica node at time zero: its decided log is
@@ -611,20 +622,13 @@ impl SimCluster {
         dir: &Path,
         mut factory: Box<dyn FnMut() -> Box<dyn Service>>,
     ) -> std::io::Result<()> {
-        let mut rcfg = ReplicaConfig::new(id, membership);
-        rcfg.checkpoint_period = self.cfg.checkpoint_period;
-        rcfg.max_batch = self.cfg.max_batch;
-        rcfg.master_secret = SIM_SECRET.to_vec();
-        rcfg.initial_view = View(self.cfg.initial_view);
-        rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
-        rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
+        let rcfg = self.replica_cfg(id, membership, false);
         // Sync-on-checkpoint still happens; per-record fsync off keeps mass
         // simulation fast (virtual fsync time is charged either way).
         let jcfg = JournalConfig { fsync: false, ..JournalConfig::new(dir) };
         let (journal, recovered) = Journal::open(jcfg)?;
         let service = factory();
-        let (mut replica, actions) = if recovered.is_empty() {
+        let (replica, actions) = if recovered.is_empty() {
             Replica::with_storage(rcfg.clone(), service, Box::new(journal))
         } else {
             let (replica, actions, info) =
@@ -634,24 +638,10 @@ impl SimCluster {
             }
             (replica, actions)
         };
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
-        let node = Node {
-            replica,
-            station: ProcessingStation::new(profile.cores),
-            profile,
-            ready: true,
-            timer_gen: HashMap::new(),
-            powered: true,
-            durable: Some(DurableSpec { dir: dir.to_path_buf(), rcfg, factory }),
-        };
-        self.nodes.insert(id.0, node);
-        self.attach_flight(id);
+        let durable = DurableSpec { dir: dir.to_path_buf(), rcfg, factory };
+        self.install_node(id, profile, replica, true, Some(durable));
         let at = self.queue.now();
-        self.absorb(id, at, actions, UNTRACED);
+        self.absorb(id, at, actions, TraceCtx::UNTRACED);
         Ok(())
     }
 
@@ -665,37 +655,13 @@ impl SimCluster {
         membership: Membership,
         service: Box<dyn Service>,
     ) {
-        let mut rcfg = ReplicaConfig::new(id, membership);
-        rcfg.checkpoint_period = self.cfg.checkpoint_period;
-        rcfg.max_batch = self.cfg.max_batch;
-        rcfg.master_secret = SIM_SECRET.to_vec();
-        rcfg.join = true;
-        rcfg.initial_view = View(self.cfg.initial_view);
-        rcfg.cst_chunk_bytes = self.cfg.cst_chunk_bytes;
-        rcfg.window = self.cfg.window;
-        rcfg.batch_policy = self.cfg.batch_policy;
-        let (mut replica, actions) = Replica::new(rcfg, service);
-        if let Some(obs) = &self.obs {
-            replica.attach(
-                Instruments::new().with_obs(obs.bundle.clone()).with_health(obs.health.clone()),
-            );
-        }
-        let node = Node {
-            replica,
-            station: ProcessingStation::new(profile.cores),
-            profile,
-            ready: false,
-            timer_gen: HashMap::new(),
-            powered: true,
-            durable: None,
-        };
-        self.nodes.insert(id.0, node);
-        self.attach_flight(id);
+        let (replica, actions) = Replica::new(self.replica_cfg(id, membership, true), service);
+        self.install_node(id, profile, replica, false, None);
         self.queue.schedule_at(at + profile.boot, Ev::NodeUp(id));
         // The joiner's initial actions (its CST requests) fire once it is up.
         let up_at = at + profile.boot;
         for action in actions {
-            self.schedule_action(id, up_at, action, UNTRACED);
+            self.schedule_action(id, up_at, action, TraceCtx::UNTRACED);
         }
     }
 
@@ -801,17 +767,10 @@ impl SimCluster {
                 if fire {
                     // A timer is a causal root of everything it triggers
                     // (watchdog view changes, client-request proposals).
-                    let ctx = self
-                        .flights
-                        .get(&id.0)
-                        .map(|f| f.protocol(EventKind::Timer, None, None, &UNTRACED, 0));
-                    let actions = self
-                        .nodes
-                        .get_mut(&id.0)
-                        .expect("exists")
-                        .replica
-                        .on_timer(timer, ctx.into());
-                    self.absorb(id, at, actions, ctx.unwrap_or(UNTRACED));
+                    let replica = &mut self.nodes.get_mut(&id.0).expect("exists").replica;
+                    let ctx = replica.instruments().timer_fired();
+                    let actions = replica.on_timer(timer, ctx);
+                    self.absorb(id, at, actions, ctx.handling());
                 }
             }
             Ev::ClientStart(client) => self.client_start(at, client),
@@ -862,7 +821,12 @@ impl SimCluster {
                 // Timers armed before the crash were swallowed while the
                 // node was down; re-arm the request watchdog so the revived
                 // replica can still notice a stalled leader.
-                self.schedule_action(id, at, Action::SetTimer(TimerId::Request, timeout), UNTRACED);
+                self.schedule_action(
+                    id,
+                    at,
+                    Action::SetTimer(TimerId::Request, timeout),
+                    TraceCtx::UNTRACED,
+                );
                 if in_cst {
                     // A replica that crashed mid-transfer keeps its verified
                     // chunks; re-arming the CST watchdog rotates the designee
@@ -871,7 +835,7 @@ impl SimCluster {
                         id,
                         at,
                         Action::SetTimer(TimerId::Cst, timeout * 8),
-                        UNTRACED,
+                        TraceCtx::UNTRACED,
                     );
                 }
             }
@@ -922,37 +886,12 @@ impl SimCluster {
         self.profile_charge(to.0, "recv", message.label(), cost);
         // The handling context: a fresh receive span adopting the wire
         // span as parent (or a root for untraced client traffic).
-        let ctx = self.flights.get(&to.0).map(|flight| {
-            let slot = message.consensus_slot();
-            let trace_id = wire_ctx
-                .map(|c| c.trace_id)
-                .or_else(|| slot.map(|(_, seq)| slot_trace_id(seq.0)))
-                .unwrap_or(0);
-            let ctx = TraceCtx {
-                trace_id,
-                parent_id: wire_ctx.map_or(NO_SPAN, |c| c.span_id),
-                span_id: flight.next_span(),
-            };
-            flight.push(FlightEvent {
-                at_us: done,
-                node: to.0,
-                event: EventKind::Recv,
-                kind: message.label(),
-                seq: slot.map(|(_, s)| s.0),
-                view: slot.map(|(v, _)| v.0),
-                peer: message.sender().map(|r| r.0),
-                trace_id: ctx.trace_id,
-                parent_id: ctx.parent_id,
-                span_id: ctx.span_id,
-                extra: 0,
-            });
-            ctx
-        });
+        let node = self.nodes.get_mut(&to.0).expect("checked above");
+        let ctx = node.replica.instruments().wire_received(&message, Some(done), wire_ctx);
         // Shallow clone unless we are the last recipient of a broadcast.
         let message = Arc::try_unwrap(message).unwrap_or_else(|shared| (*shared).clone());
-        let node = self.nodes.get_mut(&to.0).expect("checked above");
-        let actions = node.replica.on_message(message, ctx.into());
-        self.absorb(to, done, actions, ctx.unwrap_or(UNTRACED));
+        let actions = node.replica.on_message(message, ctx);
+        self.absorb(to, done, actions, ctx.handling());
     }
 
     fn deliver_client(&mut self, at: Micros, client: ClientId, reply: Reply) {
@@ -1040,38 +979,6 @@ impl SimCluster {
         checker.record_checkpoint(id, stable.seq, stable.digest);
     }
 
-    /// Records a sender-attributed fault event (drop/delay/dup) for the
-    /// wire span `ctx`, when tracing is on. `extra` carries the added µs
-    /// (delay) or the echo offset (dup).
-    #[allow(clippy::too_many_arguments)]
-    fn wire_fault(
-        &self,
-        at: Micros,
-        from: ReplicaId,
-        to: ReplicaId,
-        event: EventKind,
-        message: &Message,
-        ctx: Option<TraceCtx>,
-        extra: u64,
-    ) {
-        let Some(flight) = self.flights.get(&from.0) else { return };
-        let slot = message.consensus_slot();
-        let (trace_id, parent_id) = ctx.map_or((0, NO_SPAN), |c| (c.trace_id, c.span_id));
-        flight.push(FlightEvent {
-            at_us: at,
-            node: from.0,
-            event,
-            kind: message.label(),
-            seq: slot.map(|(_, s)| s.0),
-            view: slot.map(|(v, _)| v.0),
-            peer: Some(to.0),
-            trace_id,
-            parent_id,
-            span_id: flight.next_span(),
-            extra,
-        });
-    }
-
     /// Schedules delivery of one replica→replica message through the fault
     /// plan (if installed): the plan may drop it, delay it, or echo a
     /// duplicate. Fault-free clusters skip straight to the queue. The wire
@@ -1091,21 +998,21 @@ impl SimCluster {
             return;
         }
         let verdict = self.faults.as_mut().expect("checked").route(departed, from, to);
+        let probe = self.probe(from);
+        let fault = |event, extra| probe.wire_fault(event, &message, to, departed, ctx, extra);
         match verdict {
-            [None, None] => {
-                self.wire_fault(departed, from, to, EventKind::Drop, &message, ctx, 0);
-            }
+            [None, None] => fault(EventKind::Drop, 0),
             [Some(extra), None] | [None, Some(extra)] => {
                 if extra > 0 {
-                    self.wire_fault(departed, from, to, EventKind::Delay, &message, ctx, extra);
+                    fault(EventKind::Delay, extra);
                 }
                 self.enqueue_deliver(departed + delay + extra, to, message, ctx);
             }
             [Some(extra), Some(echo)] => {
                 if extra > 0 {
-                    self.wire_fault(departed, from, to, EventKind::Delay, &message, ctx, extra);
+                    fault(EventKind::Delay, extra);
                 }
-                self.wire_fault(departed, from, to, EventKind::Dup, &message, ctx, echo);
+                fault(EventKind::Dup, echo);
                 self.enqueue_deliver(departed + delay + extra, to, Arc::clone(&message), ctx);
                 self.enqueue_deliver(departed + delay + echo, to, message, ctx);
             }
@@ -1143,36 +1050,24 @@ impl SimCluster {
         }
     }
 
-    /// Allocates a wire span for `message` leaving `id` toward `to` at
-    /// `departed`, records the `send` event, and returns the context to
-    /// ride the wire. `None` when tracing is off. Every copy of a
-    /// broadcast gets its own span — distinct DAG edges per recipient.
-    fn wire_send(
-        &self,
+    /// Queues `message` on sender `id`'s station from `from` and returns
+    /// `(departure time, network delay)`. A broadcast signs and serializes
+    /// once regardless of fan-out; each `unicast` copy of a checkpoint pays
+    /// its 1/(n − 1) share of the snapshot stall instead.
+    fn depart(
+        &mut self,
         id: ReplicaId,
-        to: ReplicaId,
-        departed: Micros,
+        from: Micros,
         message: &Message,
-        handling: &TraceCtx,
-    ) -> Option<TraceCtx> {
-        let flight = self.flights.get(&id.0)?;
-        let slot = message.consensus_slot();
-        let trace_id = slot.map_or(handling.trace_id, |(_, seq)| slot_trace_id(seq.0));
-        let ctx = TraceCtx { trace_id, parent_id: handling.span_id, span_id: flight.next_span() };
-        flight.push(FlightEvent {
-            at_us: departed,
-            node: id.0,
-            event: EventKind::Send,
-            kind: message.label(),
-            seq: slot.map(|(_, s)| s.0),
-            view: slot.map(|(v, _)| v.0),
-            peer: Some(to.0),
-            trace_id: ctx.trace_id,
-            parent_id: ctx.parent_id,
-            span_id: ctx.span_id,
-            extra: 0,
-        });
-        Some(ctx)
+        unicast: bool,
+    ) -> (Micros, Micros) {
+        let node = self.nodes.get_mut(&id.0).expect("sender exists");
+        let peers = (node.replica.membership().n() as u64).saturating_sub(1);
+        let share = if unicast { peers.max(1) } else { 1 };
+        let cost = send_cost(node, Outbound::Peer(message, share));
+        let departed = node.station.submit(from, cost);
+        self.profile_charge(id.0, "send", message.label(), cost);
+        (departed, self.cfg.network.delay(message.wire_size()))
     }
 
     /// The cost/latency model of one broadcast (shared by the honest path
@@ -1185,27 +1080,11 @@ impl SimCluster {
         message: Arc<Message>,
         handling: TraceCtx,
     ) {
-        let (departed, delay, cost) = {
-            let node = self.nodes.get_mut(&id.0).expect("sender exists");
-            // The zero-copy path signs and serializes once per broadcast, so
-            // the sender pays one message-handling unit (and, for
-            // checkpoints, one full snapshot serialization) regardless of
-            // fan-out.
-            let mut cost = node.profile.per_msg_us / 2;
-            if matches!(&*message, Message::Checkpoint { .. }) {
-                cost +=
-                    snapshot_cost(node.profile.snapshot_mb_s, node.replica.service().state_size())
-                        * node.profile.cores as u64;
-            }
-            (node.station.submit(from, cost), self.cfg.network.delay(message.wire_size()), cost)
-        };
-        self.profile_charge(id.0, "send", message.label(), cost);
-        if let Some(obs) = &self.obs {
-            obs.wire.sent(message.label(), message.wire_size(), peers.len());
-            obs.health.seen(id.0);
-        }
+        let (departed, delay) = self.depart(id, from, &message, false);
+        self.probe(id).wire_sent(&message, peers.len());
         for to in peers {
-            let ctx = self.wire_send(id, to, departed, &message, &handling);
+            let probe = self.probe(id);
+            let ctx = probe.send_span(&message, to, Some(departed), &handling);
             self.route_deliver(departed, id, to, delay, Arc::clone(&message), ctx);
         }
     }
@@ -1215,40 +1094,10 @@ impl SimCluster {
             Action::Send(to, message) => {
                 let Some(message) = self.byz_transform(id, message) else { return };
                 let message = self.maybe_corrupt_chunk(message);
-                let (departed, delay, cost) = {
-                    let node = self.nodes.get_mut(&id.0).expect("sender exists");
-                    // Sending costs half a message-handling unit; checkpoints
-                    // additionally serialize the service snapshot.
-                    let mut cost = node.profile.per_msg_us / 2;
-                    if matches!(message, Message::Checkpoint { .. }) {
-                        // The snapshot serialization stalls the service (the
-                        // §7.3 checkpoint dips): spread `cores ×` the snapshot
-                        // cost over the broadcast so every core is busy for the
-                        // serialization period.
-                        let stall = snapshot_cost(
-                            node.profile.snapshot_mb_s,
-                            node.replica.service().state_size(),
-                        ) * node.profile.cores as u64;
-                        cost += stall / (node.replica.membership().n() as u64 - 1).max(1);
-                    }
-                    if let Message::CstChunkReply { data, .. } = &message {
-                        // Serializing one chunk for a joiner costs the donor
-                        // proportional snapshot bandwidth; chunking spreads
-                        // the old full-snapshot stall across the transfer.
-                        cost += snapshot_cost(node.profile.snapshot_mb_s, data.len());
-                    }
-                    (
-                        node.station.submit(from, cost),
-                        self.cfg.network.delay(message.wire_size()),
-                        cost,
-                    )
-                };
-                self.profile_charge(id.0, "send", message.label(), cost);
-                if let Some(obs) = &self.obs {
-                    obs.wire.sent(message.label(), message.wire_size(), 1);
-                    obs.health.seen(id.0);
-                }
-                let ctx = self.wire_send(id, to, departed, &message, &handling);
+                let (departed, delay) = self.depart(id, from, &message, true);
+                let probe = self.probe(id);
+                probe.wire_sent(&message, 1);
+                let ctx = probe.send_span(&message, to, Some(departed), &handling);
                 self.route_deliver(departed, id, to, delay, Arc::new(message), ctx);
             }
             Action::Broadcast(peers, message) => {
@@ -1297,9 +1146,7 @@ impl SimCluster {
             }
             Action::SendClient(client, reply) => {
                 let node = self.nodes.get_mut(&id.0).expect("sender exists");
-                // Large replies cost proportionally to serialize/transmit.
-                let cost = node.profile.per_msg_us / 2
-                    + (reply.result.len() as u64 * node.profile.per_kb_us) / 2048;
+                let cost = send_cost(node, Outbound::Client(&reply));
                 let departed = node.station.submit(from, cost);
                 let delay = self.cfg.network.delay(48 + reply.result.len());
                 self.profile_charge(id.0, "send", "REPLY", cost);
@@ -1361,6 +1208,36 @@ impl SimCluster {
     pub fn node_ready(&self, id: ReplicaId) -> bool {
         self.nodes.get(&id.0).is_some_and(|n| n.powered && n.ready)
     }
+}
+
+/// What leaves a node: a protocol message — with the number of unicast
+/// copies that split one checkpoint's snapshot stall — or a client reply.
+enum Outbound<'a> {
+    Peer(&'a Message, u64),
+    Client(&'a Reply),
+}
+
+/// Station time `node` pays to send one message: half a message-handling
+/// unit plus the payload's serialization work. A checkpoint serializes the
+/// service snapshot, which stalls the service (the §7.3 checkpoint dips):
+/// `cores ×` the snapshot cost, so every core is busy for the serialization
+/// period. A CST chunk costs the donor proportional snapshot bandwidth
+/// (chunking spreads the old full-snapshot stall across the transfer), and
+/// large replies cost proportionally to serialize/transmit.
+fn send_cost(node: &Node, outbound: Outbound<'_>) -> Micros {
+    let p = &node.profile;
+    let serialize = match outbound {
+        Outbound::Peer(Message::Checkpoint { .. }, share) => {
+            let state = node.replica.service().state_size();
+            snapshot_cost(p.snapshot_mb_s, state) * p.cores as u64 / share
+        }
+        Outbound::Peer(Message::CstChunkReply { data, .. }, _) => {
+            snapshot_cost(p.snapshot_mb_s, data.len())
+        }
+        Outbound::Peer(..) => 0,
+        Outbound::Client(reply) => reply.result.len() as u64 * p.per_kb_us / 2048,
+    };
+    p.per_msg_us / 2 + serialize
 }
 
 /// CPU time to serialize/install `bytes` of state at `mb_s` MB/s.
