@@ -71,36 +71,9 @@ echo "==> nemesis smoke: every fault scenario, 2 seeds, zero violations"
 LAZARUS_METRICS_DIR="$metrics_dir" target/release/nemesis 2 > /dev/null
 echo "    nemesis sweep green"
 
-echo "==> pipelining: bench_pipeline thread-count invariant + windowed nemesis smoke"
-# The window sweep is virtual-time only, so both the report and the
-# metrics snapshot must be byte-identical at any worker count.
-for t in 1 4; do
-    mkdir -p "$metrics_dir/pipe$t"
-    LAZARUS_THREADS=$t LAZARUS_METRICS_DIR="$metrics_dir/pipe$t" \
-        target/release/bench_pipeline --smoke "$metrics_dir/pipe$t/BENCH_pipeline.json" > /dev/null
-done
-for f in BENCH_pipeline.json bench_pipeline_metrics.json; do
-    if ! cmp -s "$metrics_dir/pipe1/$f" "$metrics_dir/pipe4/$f"; then
-        echo "FAIL: $f differs between 1 and 4 threads" >&2
-        exit 1
-    fi
-done
-# The full fault matrix must stay green with four slots in flight.
+echo "==> pipelining: the full fault matrix stays green with four slots in flight"
 LAZARUS_WINDOW=4 LAZARUS_METRICS_DIR="$metrics_dir" target/release/nemesis 2 > /dev/null
-echo "    bench_pipeline thread-count invariant, window=4 nemesis green"
-
-echo "==> durable storage: journal recovery smoke + bench_cst thread-count invariant"
-# bench_cst writes a journal into a temp dir, reopens it, and replays —
-# the recovery smoke — then asserts the interrupted chunked transfer
-# resumed with zero re-fetched chunks. Its report is all virtual time, so
-# it must be byte-identical at any worker count.
-LAZARUS_THREADS=1 target/release/bench_cst "$metrics_dir/BENCH_cst.t1.json" > /dev/null
-LAZARUS_THREADS=4 target/release/bench_cst "$metrics_dir/BENCH_cst.json" > /dev/null
-if ! cmp -s "$metrics_dir/BENCH_cst.t1.json" "$metrics_dir/BENCH_cst.json"; then
-    echo "FAIL: BENCH_cst.json differs between 1 and 4 threads" >&2
-    exit 1
-fi
-echo "    journal recovery green, BENCH_cst.json thread-count invariant"
+echo "    window=4 nemesis green"
 
 echo "==> causal tracing: streams validate, DAG complete, identical across thread counts"
 trace1="$metrics_dir/trace1"
@@ -137,35 +110,63 @@ for f in fig_health_ablation_results.json fig_health_ablation_metrics.json; do
 done
 echo "    ablation green, results and metrics json identical"
 
-echo "==> perf: bench_suite deterministic outputs + regression gate vs committed baseline"
-# The suite's JSON and profiler outputs are virtual-time only, so they
-# must be byte-identical across worker counts.
-for t in 1 4; do
-    mkdir -p "$metrics_dir/perf$t"
-    LAZARUS_THREADS=$t LAZARUS_PROFILE_DIR="$metrics_dir/perf$t" \
-        target/release/bench_suite --smoke "$metrics_dir/perf$t/BENCH_suite.json" > /dev/null
+echo "==> perf: bench_suite presets thread-count invariant + regression gates vs committed baselines"
+# Every number a preset writes (suite file, profiler outputs, the pipeline
+# preset's metrics snapshot) is virtual time, so each file must be
+# byte-identical at any worker count. The cst preset is also the journal
+# recovery smoke: it writes a journal into a temp dir, reopens it, replays,
+# and fails unless the interrupted chunked transfer resumed with zero
+# re-fetched chunks.
+for run in "baseline --smoke" "pipeline --smoke" "cst"; do
+    for t in 1 4; do
+        out="$metrics_dir/t$t/${run%% *}"
+        mkdir -p "$out"
+        # shellcheck disable=SC2086 # $run is "<preset> [--smoke]"
+        LAZARUS_THREADS=$t LAZARUS_PROFILE_DIR="$out" LAZARUS_METRICS_DIR="$out" \
+            target/release/bench_suite $run "$out/BENCH.json" > /dev/null
+    done
 done
-for f in BENCH_suite.json profile.json profile.folded queues.jsonl; do
-    if ! cmp -s "$metrics_dir/perf1/$f" "$metrics_dir/perf4/$f"; then
-        echo "FAIL: $f differs between 1 and 4 threads" >&2
+for f in baseline/BENCH.json baseline/profile.json baseline/profile.folded \
+    baseline/queues.jsonl pipeline/BENCH.json pipeline/bench_pipeline_metrics.json \
+    cst/BENCH.json; do
+    if ! cmp -s "$metrics_dir/t1/$f" "$metrics_dir/t4/$f"; then
+        echo "FAIL: $f missing, or differs between 1 and 4 threads" >&2
         exit 1
     fi
 done
-# Gate against the committed baseline: tolerances are per metric suffix
+# Gate against the committed baselines: tolerances are per metric suffix
 # (_ops_s -10%, _us +15%, _p999_us/_max_us +25%); a genuine perf change
-# regenerates results/BENCH_baseline.json with bench_suite --smoke.
-target/release/perf_report results/BENCH_baseline.json \
-    "$metrics_dir/perf1/BENCH_suite.json" > /dev/null
+# regenerates results/BENCH_baseline.json with `bench_suite baseline --smoke`
+# and results/BENCH_cst.json with `bench_suite cst`.
+for preset in baseline cst; do
+    target/release/perf_report "results/BENCH_$preset.json" \
+        "$metrics_dir/t1/$preset/BENCH.json" > /dev/null
+done
 # The gate must actually bite: an injected 50% throughput drop has to
 # flip the exit code.
 sed 's/"throughput_ops_s":[0-9][0-9]*\(\.[0-9][0-9]*\)\{0,1\}/"throughput_ops_s":1.0/g' \
-    "$metrics_dir/perf1/BENCH_suite.json" > "$metrics_dir/perf1/regressed.json"
+    "$metrics_dir/t1/baseline/BENCH.json" > "$metrics_dir/regressed.json"
 if target/release/perf_report results/BENCH_baseline.json \
-    "$metrics_dir/perf1/regressed.json" > /dev/null 2>&1; then
+    "$metrics_dir/regressed.json" > /dev/null 2>&1; then
     echo "FAIL: perf_report passed an injected throughput regression" >&2
     exit 1
 fi
-echo "    bench_suite thread-count invariant, baseline gate green, gate bites"
+# The smoke presets take minutes unoptimised, so the test that compares the
+# cells two presets share is ignored by the debug `cargo test` above.
+cargo test --release -q -p lazarus-bench --test suite_presets
+echo "    presets thread-count invariant, baseline and cst gates green, gate bites"
+
+echo "==> results freshness: the sub-5-second bins still print what results/ holds"
+for run in fig2_modifiers fig3_score_evolution "fig6_attacks 500 42" table1_clusters \
+    table2_oses ablation_clusters ablation_threshold; do
+    bin=${run%% *}
+    # shellcheck disable=SC2086 # $run is "<bin> [args]"
+    if ! LAZARUS_METRICS_DIR="$metrics_dir" target/release/$run | cmp -s - "results/$bin.txt"; then
+        echo "FAIL: target/release/$run no longer prints results/$bin.txt" >&2
+        exit 1
+    fi
+done
+echo "    results/*.txt of the quick bins reproduced byte for byte"
 
 echo "==> benchmark: the out-of-workspace package builds, its tests and every workload's checks pass"
 # benchmark/ is a standalone package path-depending on crates/* and shims/*

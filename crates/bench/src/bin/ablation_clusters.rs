@@ -125,8 +125,5 @@ fn main() {
          union degenerates toward a per-OS vulnerability-volume metric whose behaviour \
          depends on the world's structure."
     );
-    match lazarus_bench::write_metrics_json("ablation_clusters", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    lazarus_bench::write_metrics_json("ablation_clusters", &registry);
 }

@@ -56,8 +56,5 @@ fn main() {
          for a modest safety change; the compromise floor is set by hidden (stealth) \
          sharing that no threshold can see."
     );
-    match lazarus_bench::write_metrics_json("ablation_threshold", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    lazarus_bench::write_metrics_json("ablation_threshold", &registry);
 }

@@ -11,11 +11,8 @@ use lazarus_apps::fabric::{submit_op, OrderingService};
 use lazarus_apps::kvs::KvsService;
 use lazarus_apps::sieveq::{enqueue_op, SieveQService};
 use lazarus_apps::ycsb::{YcsbConfig, YcsbWorkload};
-use lazarus_bench::{
-    fmt_kops, measure_throughput, measure_throughput_observed, print_table, write_metrics_json,
-};
+use lazarus_bench::{fmt_kops, measure_throughput, print_table, write_metrics_json};
 use lazarus_obs::Registry;
-use lazarus_testbed::cluster::SimConfig;
 use lazarus_testbed::oscatalog::{fastest_set, slowest_set, vm_profile, PerfProfile};
 use lazarus_testbed::LatencySummary;
 use parking_lot::Mutex;
@@ -31,16 +28,13 @@ fn kvs_throughput(profiles: &[PerfProfile], registry: &Registry) -> (f64, Option
         w.attach_obs(registry); // op-mix counters: ycsb_ops_total{op=…}
         w
     }));
-    let run = measure_throughput_observed(
-        SimConfig::default(),
+    measure_throughput(
         profiles,
         || Box::new(KvsService::new()),
         move |_| workload.lock().next_op(),
         250,
         4,
-        None,
-    );
-    (run.throughput_ops_s, run.summary)
+    )
 }
 
 fn sieveq_throughput(profiles: &[PerfProfile]) -> f64 {
@@ -57,7 +51,8 @@ fn sieveq_throughput(profiles: &[PerfProfile]) -> f64 {
         },
         250,
         4,
-    );
+    )
+    .0;
     ops * SIEVEQ_AGGREGATION as f64
 }
 
@@ -73,6 +68,7 @@ fn fabric_throughput(profiles: &[PerfProfile]) -> f64 {
         250,
         4,
     )
+    .0
 }
 
 fn main() {
@@ -134,8 +130,5 @@ fn main() {
          BM throughput — SieveQ loses the least because its filtering layers run before the \
          replicated state machine; the slowest set drops to 18–53%."
     );
-    match write_metrics_json("fig10_apps", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig10_apps", &registry);
 }

@@ -34,8 +34,5 @@ fn main() {
         ("scenario", "modifier"),
         &rows,
     );
-    match write_metrics_json("fig2_modifiers", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig2_modifiers", &registry);
 }

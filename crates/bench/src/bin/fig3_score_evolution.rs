@@ -64,8 +64,5 @@ fn main() {
     for (point, v, day) in annotations {
         registry.gauge_with("fig3_score", &[("point", point)]).set(params.score(v, day));
     }
-    match lazarus_bench::write_metrics_json("fig3_score_evolution", &registry) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    lazarus_bench::write_metrics_json("fig3_score_evolution", &registry);
 }

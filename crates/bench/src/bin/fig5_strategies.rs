@@ -84,8 +84,5 @@ fn main() {
         "\npaper shape: Lazarus best overall; Random/Equal worst \
          (\"changing OSes every day with no criteria tends to create unsafe configurations\")."
     );
-    match write_metrics_json("fig5_strategies", &obs.registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig5_strategies", &obs.registry);
 }

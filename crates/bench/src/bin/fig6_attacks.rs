@@ -72,8 +72,5 @@ fn main() {
         "\npaper shape: Lazarus handles every scenario with almost no compromised \
          executions; StackClash is the most destructive attack (it hits every Unix lineage)."
     );
-    match write_metrics_json("fig6_attacks", &obs.registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig6_attacks", &obs.registry);
 }

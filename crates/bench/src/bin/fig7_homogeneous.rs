@@ -51,8 +51,5 @@ fn main() {
          Debian/Windows/FreeBSD much slower on 0/0 but closer on 1024/1024; \
          single-core Solaris/OpenBSD ≲ 3k with both workloads."
     );
-    match write_metrics_json("fig7_homogeneous", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig7_homogeneous", &registry);
 }

@@ -51,8 +51,5 @@ fn main() {
          close to the slowest set because BFT progresses at the speed of the 3rd-fastest \
          replica (a single-core Solaris VM); slowest ≈ 6k/2.5k."
     );
-    match write_metrics_json("fig8_diverse", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig8_diverse", &registry);
 }

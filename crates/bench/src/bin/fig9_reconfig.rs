@@ -171,9 +171,6 @@ fn main() {
          transfer; the VM (b) boots ~3× faster than bare metal (40 s vs >2 min), so \
          the joiner is ready much earlier, while its transfer runs somewhat slower."
     );
-    match write_metrics_json("fig9_reconfig", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("fig9_reconfig", &registry);
     let _ = Bytes::new();
 }

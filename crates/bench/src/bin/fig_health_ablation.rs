@@ -23,7 +23,7 @@
 //! [`lazarus_bench::metrics_path`] plus the standard `*_metrics.json`;
 //! fixed seeds → byte-identical files at any `LAZARUS_THREADS`.
 
-use lazarus_bench::{metrics_path, print_table, write_bench_json, write_metrics_json};
+use lazarus_bench::{metrics_path, print_table, write_artifact, write_metrics_json};
 use lazarus_core::{Controller, ControllerConfig, HealthPolicy};
 use lazarus_obs::Obs;
 use lazarus_osint::catalog::study_oses;
@@ -213,10 +213,8 @@ fn main() {
     ]);
     let results_path =
         metrics_path("fig_health_ablation").with_file_name("fig_health_ablation_results.json");
-    write_bench_json(results_path.to_str().expect("utf8 path"), &results)
-        .expect("write results json");
-    write_metrics_json("fig_health_ablation", &ctl_obs.registry).expect("write metrics json");
-    println!("wrote {}", results_path.display());
+    write_artifact(results_path, &results.to_json());
+    write_metrics_json("fig_health_ablation", &ctl_obs.registry);
 
     // The figure's claim, enforced: health-aware placement must heal
     // strictly faster in at least two of the three scenarios (always, when

@@ -17,7 +17,7 @@
 //! `trace_analyze` or Perfetto. The dump is deterministic: same scenario
 //! and seed → byte-identical files at any `LAZARUS_THREADS`.
 
-use lazarus_bench::{metrics_path, write_bench_json, write_metrics_json};
+use lazarus_bench::{metrics_path, write_artifact, write_metrics_json};
 use lazarus_testbed::nemesis::{run_matrix, run_scenario_traced, SCENARIOS};
 
 fn main() {
@@ -55,10 +55,8 @@ fn main() {
     lazarus_bench::print_table("nemesis verdicts", ("scenario", "result"), &rows);
 
     let results_path = metrics_path("nemesis").with_file_name("nemesis_results.json");
-    write_bench_json(results_path.to_str().expect("utf-8 path"), &report.to_json())
-        .expect("write nemesis_results.json");
-    let metrics = write_metrics_json("nemesis", &report.registry).expect("write metrics");
-    println!("\nresults: {} | metrics: {}", results_path.display(), metrics.display());
+    write_artifact(results_path, &report.to_json().to_json());
+    write_metrics_json("nemesis", &report.registry);
 
     if let Ok(trace_dir) = std::env::var("LAZARUS_TRACE_DIR") {
         let scenario = scenarios[0];

@@ -1,4 +1,4 @@
-//! Benchmark-regression gate: diffs two `BENCH_suite.json` files under
+//! Benchmark-regression gate: diffs two `bench_suite` output files under
 //! the per-metric tolerance policy in `lazarus_bench::perf` and prints a
 //! verdict table.
 //!
@@ -80,12 +80,7 @@ fn main() {
         &rows,
     );
 
-    let regressed: Vec<&str> = report
-        .verdicts
-        .iter()
-        .filter(|v| v.status == Status::Regressed)
-        .map(|v| v.metric.as_str())
-        .collect();
+    let regressed = report.regressed_names();
     if regressed.is_empty() {
         println!("\nverdict: PASS ({} metrics compared)", report.verdicts.len());
     } else {

@@ -49,8 +49,5 @@ fn main() {
         .gauge("table1_triplet_same_cluster")
         .set(f64::from(u8::from(clusters.same_cluster(a, b) && clusters.same_cluster(a, c))));
     registry.gauge("table1_cosine_0157_4428").set(clusters.similarity(a, c).unwrap_or(0.0));
-    match lazarus_bench::write_metrics_json("table1_clusters", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    lazarus_bench::write_metrics_json("table1_clusters", &registry);
 }

@@ -25,8 +25,5 @@ fn main() {
         ("ID (name)", "VM resources"),
         &rows,
     );
-    match write_metrics_json("table2_oses", &registry) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write metrics: {e}"),
-    }
+    write_metrics_json("table2_oses", &registry);
 }

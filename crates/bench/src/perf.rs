@@ -1,7 +1,7 @@
 //! Benchmark-suite schema and regression gating.
 //!
-//! `bench_suite` writes one schema-versioned `BENCH_suite.json` per run
-//! ([`Suite`]); `perf_report` diffs two such files with per-metric
+//! Every `bench_suite` preset writes one schema-versioned suite file per
+//! run ([`Suite`]); `perf_report` diffs two such files with per-metric
 //! tolerance policies ([`policy_for`]) and emits a verdict table plus an
 //! exit code CI can gate on. Only virtual-time (deterministic) metrics
 //! belong in a suite — wall-clock numbers vary per host and would make
@@ -18,7 +18,7 @@
 
 use lazarus_osint::json::{parse, Value};
 
-/// Schema tag stamped into every `BENCH_suite.json`.
+/// Schema tag stamped into every suite file.
 pub const SUITE_SCHEMA: &str = "lazarus-bench-suite-v1";
 
 /// One benchmark-suite run: named workloads, each a list of named numeric
@@ -190,6 +190,17 @@ impl Report {
     pub fn regressed(&self) -> bool {
         self.verdicts.iter().any(|v| v.status == Status::Regressed)
     }
+
+    /// `workload/metric` of every regressed verdict: with one metric name
+    /// per cell of a sweep, the metric alone does not say which cell.
+    #[must_use]
+    pub fn regressed_names(&self) -> Vec<String> {
+        self.verdicts
+            .iter()
+            .filter(|v| v.status == Status::Regressed)
+            .map(|v| format!("{}/{}", v.workload, v.metric))
+            .collect()
+    }
 }
 
 /// Diffs `new` against the `old` baseline. `tolerance_override`, when set,
@@ -330,6 +341,19 @@ mod tests {
         let v = &report.verdicts[0];
         assert_eq!(v.status, Status::Regressed);
         assert!((v.change.expect("both sides") + 0.2).abs() < 1e-9);
+        // Two cells regressing on the same metric name stay tellable apart.
+        let old = suite(&[
+            ("echo_w1", "throughput_ops_s", 1000.0),
+            ("echo_w2", "throughput_ops_s", 1000.0),
+        ]);
+        let bad = suite(&[
+            ("echo_w1", "throughput_ops_s", 800.0),
+            ("echo_w2", "throughput_ops_s", 700.0),
+        ]);
+        assert_eq!(
+            diff(&old, &bad, None).regressed_names(),
+            ["echo_w1/throughput_ops_s", "echo_w2/throughput_ops_s"]
+        );
     }
 
     #[test]

@@ -98,15 +98,8 @@ pub fn fault_plan(scenario: &str, seed: u64) -> FaultPlan {
 
 /// When the storage scenarios' joiner powers on…
 const JOINER_BOOT: Micros = 350 * MS;
-/// …and when it is up (fast-boot profile, below).
+/// …and when it is up ([`PerfProfile::fast_boot`]).
 const JOINER_UP: Micros = 400 * MS;
-
-/// The bare-metal profile with boot time cut to 50 ms: nemesis scenarios
-/// run on a 3 s horizon, so the §7.3 125 s machine boot is compressed to
-/// keep the *transfer* (not the BIOS) under test.
-fn fast_boot() -> PerfProfile {
-    PerfProfile { boot: 50 * MS, ..PerfProfile::bare_metal() }
-}
 
 /// Scratch journal directory for one durable replica of one run.
 fn journal_dir(scenario: &str, seed: u64, replica: u32) -> PathBuf {
@@ -284,7 +277,7 @@ fn build_sim(scenario: &str, seed: u64, instrument: Instrument, initial_view: u6
                 sim.register_scratch(dir.clone());
                 sim.add_durable_node(
                     ReplicaId(r),
-                    fast_boot(),
+                    PerfProfile::fast_boot(),
                     membership.clone(),
                     &dir,
                     Box::new(|| Box::new(CounterService::new()) as Box<dyn Service>),
@@ -297,7 +290,7 @@ fn build_sim(scenario: &str, seed: u64, instrument: Instrument, initial_view: u6
             for r in 0..4 {
                 sim.add_node(
                     ReplicaId(r),
-                    fast_boot(),
+                    PerfProfile::fast_boot(),
                     membership.clone(),
                     Box::new(BlobService::new(blob)),
                 );
@@ -307,7 +300,7 @@ fn build_sim(scenario: &str, seed: u64, instrument: Instrument, initial_view: u6
             sim.boot_joiner_at(
                 JOINER_BOOT,
                 ReplicaId(4),
-                fast_boot(),
+                PerfProfile::fast_boot(),
                 membership.reconfigured(Some(ReplicaId(4)), None),
                 Box::new(BlobService::new(0)),
             );

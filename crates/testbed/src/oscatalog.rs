@@ -47,6 +47,13 @@ impl PerfProfile {
         }
     }
 
+    /// Bare metal with boot cut to 50 ms: join scenarios on a few-second
+    /// horizon compress the §7.3 125 s machine boot to keep the *transfer*
+    /// (not the BIOS) under test.
+    pub fn fast_boot() -> PerfProfile {
+        PerfProfile { boot: 50 * crate::sim::MS, ..PerfProfile::bare_metal() }
+    }
+
     /// CPU time to process a message of `bytes` payload bytes.
     pub fn msg_cost(&self, bytes: usize) -> Micros {
         self.per_msg_us + (bytes as u64 * self.per_kb_us) / 1024
